@@ -4,7 +4,7 @@
 # (fault injection, deadlines, graceful degradation) runs a second,
 # focused pass so a fault-harness regression is reported by name, and
 # efeslint enforces the cross-cutting invariants (DESIGN.md §8).
-.PHONY: verify build test bench bench-smoke faults lint efesd-smoke
+.PHONY: verify build test bench bench-smoke faults lint efesd-smoke perfbench-smoke
 
 verify:
 	go build ./...
@@ -31,6 +31,16 @@ faults:
 # line, and the signal handling are all the shipped code paths.
 efesd-smoke:
 	go test -race -run 'KillRestart|GracefulDrain|EvictionSmoke' ./cmd/efesd/
+
+# The benchmark's own checks. perfbench is a module of its own, so
+# `go test ./...` never builds it: vet and unit-test it, then run a short
+# paper-cold pass. That run loads the paper-scale scenario through the
+# CSV path and exits 1 if any estimate's bytes differ from the
+# in-process reference, or if the Table 3, Table 6 or 66,875-minute
+# figures are wrong.
+perfbench-smoke:
+	cd perfbench && go vet . && go test .
+	bash perfbench/run.sh --workload paper-cold --seed 1 --seconds 3 --trace 0
 
 build:
 	go build ./...

@@ -509,6 +509,33 @@ func BenchmarkFullEstimateLarge(b *testing.B) {
 	}
 }
 
+// BenchmarkLoadDirLarge reloads the large scenario's source and target
+// from the directories SaveDir wrote, as cmd/efes does: ParseSchemaText
+// plus LoadDir, whose ReadCSV decodes straight into the column vectors.
+func BenchmarkLoadDirLarge(b *testing.B) {
+	scn := largeExample()
+	dir := b.TempDir()
+	dbs := []*relational.Database{scn.Target, scn.Sources[0].DB}
+	for i, db := range dbs {
+		if err := db.SaveDir(fmt.Sprintf("%s/%d", dir, i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, db := range dbs {
+			s, err := relational.ParseSchemaText(db.Schema.String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := relational.NewDatabase(s).LoadDir(fmt.Sprintf("%s/%d", dir, j)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // xlargeExample lazily builds the XLargeExampleConfig scenario (~1M
 // songs). Like largeExample, lazy so only the XLarge benchmarks pay the
 // generation cost.

@@ -85,7 +85,7 @@ func FromDatabaseInterned(g *Graph, db *relational.Database) (*Interned, error) 
 		if tn == nil {
 			return nil, fmt.Errorf("csg: graph lacks table node %s", t.Name)
 		}
-		nRows := len(db.Rows(t.Name))
+		nRows := db.NumRows(t.Name)
 		in.nodes[tn] = &elemTable{table: t.Name, n: nRows}
 		vecs := db.Vectors(t.Name)
 		for ci, c := range t.Columns {

@@ -11,9 +11,14 @@ package efesd
 //   - an idle TTL (Config.ScenarioTTL + Config.Now): entries idle longer
 //     than the TTL are expired lazily by the next lookup or listing.
 //
-// Evicted scenarios simply disappear from the store — a later request
-// naming one gets 404 and re-uploads; the durable caches are content
-// addressed, so the re-upload's profiles and results are still warm.
+// Evicted scenarios disappear from the store — a later request naming
+// one gets 404 and re-uploads; the durable caches are content addressed,
+// so the re-upload's profiles and results are still warm. Every scenario
+// that leaves the store, evicted or replaced by a re-upload, also leaves
+// the shared profiler's memo, which otherwise would keep its databases
+// alive (see dropLocked and releaseIfDropped).
+
+import "net/http"
 
 // DefaultMaxScenarios bounds resident scenarios when Config.MaxScenarios
 // is zero.
@@ -48,11 +53,41 @@ func (s *Server) expiredLocked(e *scenarioEntry) bool {
 		s.cfg.Now().Sub(e.lastUsed) > s.cfg.ScenarioTTL
 }
 
+// dropLocked removes a scenario from the store and its target and
+// source databases from the profiler memo. A request still running on
+// the scenario keeps its own references and finishes normally. Caller
+// holds s.mu.
+func (s *Server) dropLocked(key string) {
+	if e, ok := s.scenarios[key]; ok {
+		delete(s.scenarios, key)
+		s.forget(e)
+	}
+}
+
+// releaseIfDropped is called by a request that used e's databases with
+// the profiler once it is done: if e left the store meanwhile, the
+// profiles the request added after the drop are released too.
+func (s *Server) releaseIfDropped(r *http.Request, name string, e *scenarioEntry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.scenarios[tenant(r)+"\x00"+name] != e {
+		s.forget(e)
+	}
+}
+
+// forget drops a scenario's databases from the profiler memo.
+func (s *Server) forget(e *scenarioEntry) {
+	s.prof.Forget(e.scn.Target)
+	for _, src := range e.scn.Sources {
+		s.prof.Forget(src.DB)
+	}
+}
+
 // sweepExpiredLocked evicts every TTL-expired entry. Caller holds s.mu.
 func (s *Server) sweepExpiredLocked() {
 	for key, e := range s.scenarios {
 		if s.expiredLocked(e) {
-			delete(s.scenarios, key)
+			s.dropLocked(key)
 			s.evictedTTL.Add(1)
 		}
 	}
@@ -65,6 +100,7 @@ func (s *Server) register(key string, e *scenarioEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.touchLocked(e)
+	s.dropLocked(key)
 	s.scenarios[key] = e
 	max := s.maxScenarios()
 	if max <= 0 || len(s.scenarios) <= max {
@@ -79,7 +115,7 @@ func (s *Server) register(key string, e *scenarioEntry) {
 				victim, vseq = k, v.seq
 			}
 		}
-		delete(s.scenarios, victim)
+		s.dropLocked(victim)
 		s.evictedLRU.Add(1)
 	}
 }

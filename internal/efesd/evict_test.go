@@ -7,12 +7,15 @@ package efesd
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"efes/internal/persist"
+	"efes/internal/scenario"
 )
 
 // fakeClock is a mutable injected clock, safe for concurrent use.
@@ -189,5 +192,86 @@ func TestConcurrentUploadEvict(t *testing.T) {
 	}
 	if st.ScenariosEvictedLRU == 0 {
 		t.Error("no LRU evictions despite 24 uploads into a cap of 3")
+	}
+}
+
+// TestProfilerMemoReleasesEvictedScenarios: the shared profiler keys its
+// memo by database pointer, so every scenario that leaves the store —
+// LRU victim, replaced re-upload, or TTL expiry — must leave the memo
+// too, or the daemon keeps every database it ever parsed alive.
+func TestProfilerMemoReleasesEvictedScenarios(t *testing.T) {
+	clock := newFakeClock()
+	srv, ts := newTestServer(t, Config{MaxScenarios: 2, ScenarioTTL: time.Minute, Now: clock.Now})
+	uploadAndEstimate := func(name string, seed int64) {
+		t.Helper()
+		cfg := scenario.SmallExampleConfig()
+		cfg.Seed = seed
+		scn := scenario.MusicExample(cfg)
+		scn.Name = name
+		if resp, data := post(t, ts.URL+"/v1/scenarios", renderUpload(t, scn), nil); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("upload %s status = %d: %s", name, resp.StatusCode, data)
+		}
+		if resp, data := post(t, ts.URL+"/v1/estimate", estimateBody(name, ""), nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("estimate %s status = %d: %s", name, resp.StatusCode, data)
+		}
+	}
+	uploadAndEstimate("s0", 1)
+	perScenario := srv.Profiler().Len()
+	if perScenario == 0 {
+		t.Fatal("an estimate left no profiles in the memo")
+	}
+	for i := 1; i < 10; i++ {
+		uploadAndEstimate(fmt.Sprintf("s%d", i), int64(i+1))
+		if n := srv.Profiler().Len(); n > 2*perScenario {
+			t.Fatalf("after %d uploads into a cap of 2 the memo holds %d profiles, want <= %d (2 live scenarios)", i+1, n, 2*perScenario)
+		}
+	}
+	// A re-upload under a live name replaces the scenario's databases.
+	uploadAndEstimate("s9", 99)
+	if n := srv.Profiler().Len(); n > 2*perScenario {
+		t.Fatalf("after a re-upload the memo holds %d profiles, want <= %d", n, 2*perScenario)
+	}
+	// TTL expiry releases the rest.
+	clock.Advance(2 * time.Minute)
+	if st := status(t, ts.URL); st.Scenarios != 0 {
+		t.Fatalf("resident scenarios after TTL sweep = %d, want 0", st.Scenarios)
+	}
+	if n := srv.Profiler().Len(); n != 0 {
+		t.Errorf("memo holds %d profiles with no live scenario, want 0", n)
+	}
+}
+
+// TestProfilerMemoReleasesLateProfiles: a request still running on a
+// scenario that was replaced meanwhile may profile its databases after
+// the drop; finishing the request releases those profiles too.
+func TestProfilerMemoReleasesLateProfiles(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	uploadMusic(t, ts.URL, nil)
+	req := httptest.NewRequest(http.MethodPost, "/v1/profile", nil)
+	entry, ok := srv.lookup(req, musicName)
+	if !ok {
+		t.Fatal("uploaded scenario not found")
+	}
+	profileFirstColumn := func(e *scenarioEntry) {
+		t.Helper()
+		tab := e.scn.Target.Schema.Tables()[0]
+		if _, err := srv.Profiler().Column(e.scn.Target, tab.Name, tab.Columns[0].Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	uploadMusic(t, ts.URL, nil) // replaces entry and forgets its databases
+	profileFirstColumn(entry)   // the in-flight request, after the drop
+	if n := srv.Profiler().Len(); n != 1 {
+		t.Fatalf("memo holds %d profiles, want the late one", n)
+	}
+	srv.releaseIfDropped(req, musicName, entry)
+	if n := srv.Profiler().Len(); n != 0 {
+		t.Errorf("memo holds %d profiles of a replaced scenario after its request finished, want 0", n)
+	}
+	live, _ := srv.lookup(req, musicName)
+	profileFirstColumn(live)
+	srv.releaseIfDropped(req, musicName, live)
+	if n := srv.Profiler().Len(); n != 1 {
+		t.Errorf("memo holds %d profiles of the live scenario, want 1 kept", n)
 	}
 }

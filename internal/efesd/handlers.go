@@ -241,6 +241,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.resultMisses.Add(1)
+	defer s.releaseIfDropped(r, req.Scenario, entry)
 
 	pol := s.requestPolicy(req)
 	ctx := r.Context()
@@ -367,6 +368,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown database %q", req.DB))
 		return
 	}
+	defer s.releaseIfDropped(r, req.Scenario, entry)
 	mode, err := s.requestProfileMode(r, req.Mode)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())

@@ -280,7 +280,7 @@ func (s *Server) lookup(r *http.Request, name string) (*scenarioEntry, bool) {
 		return nil, false
 	}
 	if s.expiredLocked(e) {
-		delete(s.scenarios, key)
+		s.dropLocked(key)
 		s.evictedTTL.Add(1)
 		return nil, false
 	}

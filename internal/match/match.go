@@ -338,8 +338,12 @@ func nameSimilarity(a, b string) float64 {
 	return lev
 }
 
+// nameSeparators strips the separators normalizeName ignores. A Replacer
+// is safe for concurrent use, so one serves every comparison.
+var nameSeparators = strings.NewReplacer("_", "", "-", "", " ", "")
+
 func normalizeName(s string) string {
-	return strings.ToLower(strings.NewReplacer("_", "", "-", "", " ", "").Replace(s))
+	return strings.ToLower(nameSeparators.Replace(s))
 }
 
 func tokens(s string) map[string]struct{} {

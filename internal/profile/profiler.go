@@ -98,8 +98,8 @@ type profileEntry struct {
 // once per process, however many correspondences refer to it.
 //
 // Entries key the database by pointer identity and therefore keep the
-// instance alive; call Reset to release a long-lived Profiler's memory
-// between unrelated workloads.
+// instance alive; call Forget when a database is dropped, or Reset to
+// release a long-lived Profiler's memory between unrelated workloads.
 //
 //efes:daemon-lifetime
 type Profiler struct {
@@ -284,7 +284,9 @@ func (p *Profiler) get(ctx context.Context, key profileKey, compute func() (*Col
 		stats, incompatible, err := compute()
 		if err != nil {
 			p.mu.Lock()
-			delete(p.entries, key)
+			if p.entries[key] == e { // not already dropped by Forget and replaced
+				delete(p.entries, key)
+			}
 			p.mu.Unlock()
 			close(e.ready) // wake waiters; e.ok stays false and they retry
 			return nil, 0, err
@@ -512,6 +514,19 @@ func (p *Profiler) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.entries)
+}
+
+// Forget drops every cached profile of db, releasing the references that
+// pin it in memory; the counters and other databases' profiles stay.
+// Lookups already waiting on a dropped entry still receive its result.
+func (p *Profiler) Forget(db *relational.Database) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for key := range p.entries {
+		if key.db == db {
+			delete(p.entries, key)
+		}
+	}
 }
 
 // Reset drops every cached profile and zeroes the counters, releasing the

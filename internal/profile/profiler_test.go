@@ -170,6 +170,38 @@ func TestProfilerReset(t *testing.T) {
 	}
 }
 
+func TestProfilerForget(t *testing.T) {
+	kept, dropped := profilerDB(t), profilerDB(t)
+	p := NewProfiler(1)
+	for _, db := range []*relational.Database{kept, dropped} {
+		if _, err := p.ProfileDatabase(db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := p.ColumnCoerced(dropped, "songs", "length", relational.String); err != nil {
+		t.Fatal(err)
+	}
+	keptStats, err := p.Column(kept, "songs", "title")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := p.Counters()
+	p.Forget(dropped)
+	if p.Len() != 2 {
+		t.Errorf("entries after Forget = %d, want the 2 of the kept database", p.Len())
+	}
+	if h, m := p.Counters(); h != hits || m != misses {
+		t.Errorf("counters after Forget = %d/%d, want %d/%d unchanged", h, m, hits, misses)
+	}
+	if again, err := p.Column(kept, "songs", "title"); err != nil || again != keptStats {
+		t.Error("Forget dropped another database's profile")
+	}
+	p.Forget(dropped) // idempotent
+	if p.Len() != 2 {
+		t.Errorf("entries after a second Forget = %d, want 2", p.Len())
+	}
+}
+
 // TestValuesWithNonFiniteNumbers is the regression test for the histogram
 // bucket-index panic: profiling a column containing ±Inf used to convert
 // NaN bucket positions straight to int and index out of bounds.

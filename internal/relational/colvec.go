@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -11,15 +12,18 @@ import (
 // This file implements the columnar substrate of the store. Each table
 // keeps one ColumnVector per column: a typed vector with a null bitmap,
 // and — for string columns — dictionary encoding (interned codes into an
-// append-ordered dictionary with per-code occurrence counts). The row API
-// (Rows, Column, ...) remains the compatibility view; the vectors are what
-// the profiling kernels, the schema matcher, and the discovery merge-joins
-// scan.
+// append-ordered dictionary with per-code occurrence counts). The vectors
+// are what the profiling kernels, the schema matcher, the CSG interner and
+// the discovery merge-joins scan; the row API (Rows, Column, ...) is the
+// compatibility view.
 //
-// Vectors are materialized lazily on first access (so bulk loading pays no
-// per-insert overhead) and maintained incrementally by Insert, Update, and
-// Delete afterwards. As with the row view, concurrent readers are safe but
-// mutation must not race with reads.
+// A table has one of two owners. A table filled by ReadCSV is column-first:
+// the CSV decodes straight into its vectors, and its rows are derived from
+// them on first row-API use. A table filled by Insert is row-first: its
+// vectors are built from the rows on first access. Either view, once
+// built, is maintained incrementally by Insert, Update, and Delete. As
+// with the row view, concurrent readers are safe (vecMu guards building
+// either view on first use) but mutation must not race with reads.
 
 // ChunkSize is the number of rows (or, for string columns, dictionary
 // entries) per profiling chunk: the unit of work the sharded profiling
@@ -356,6 +360,11 @@ func (v *ColumnVector) intern(s string) int32 {
 	if c, ok := v.lookup[s]; ok {
 		return c
 	}
+	return v.addEntry(s)
+}
+
+// addEntry appends an unseen string to the dictionary with count 0.
+func (v *ColumnVector) addEntry(s string) int32 {
 	c := int32(len(v.dict))
 	v.dict = append(v.dict, s)
 	v.counts = append(v.counts, 0)
@@ -363,18 +372,21 @@ func (v *ColumnVector) intern(s string) int32 {
 	return c
 }
 
-// appendValue appends one canonical (already coerced) cell.
+// appendValue appends one canonical (already coerced) cell to a live
+// vector, stamping its chunk and dropping the distinct memo.
+func (v *ColumnVector) appendValue(val Value) {
+	v.stampAppend(v.length)
+	v.pushValue(val)
+	v.invalidate()
+}
+
+// pushValue appends one canonical cell to the storage of a vector under
+// construction; seal stamps it once the build is complete.
 //
 //efes:hot
-func (v *ColumnVector) appendValue(val Value) {
-	i := v.length
-	v.length++
-	v.stampAppend(i)
+func (v *ColumnVector) pushValue(val Value) {
 	if val == nil {
-		v.nulls.set(i)
-		v.nullCount++
-		v.appendZero()
-		v.invalidate()
+		v.pushNull()
 		return
 	}
 	switch v.typ {
@@ -391,7 +403,100 @@ func (v *ColumnVector) appendValue(val Value) {
 	case Time:
 		v.times = append(v.times, val.(time.Time))
 	}
-	v.invalidate()
+	v.length++
+}
+
+// pushField appends one CSV field to a vector under construction, parsed
+// with Coerce's string semantics: the empty field is NULL, a string is
+// interned (and copied only on its first occurrence, so the dictionary
+// never pins the reader's record buffer), and any other type parses into
+// its dense slice. It reports false, appending nothing, when the field
+// does not parse as the column's type.
+//
+//efes:hot
+func (v *ColumnVector) pushField(field string) bool {
+	if field == "" {
+		v.pushNull()
+		return true
+	}
+	switch v.typ {
+	case String:
+		c, ok := v.lookup[field]
+		if !ok {
+			c = v.addEntry(strings.Clone(field))
+		}
+		v.codes = append(v.codes, c)
+		v.counts[c]++
+	case Integer:
+		x, err := ParseInt(field)
+		if err != nil {
+			return false
+		}
+		v.ints = append(v.ints, x)
+	case Float:
+		x, err := ParseFloat(field)
+		if err != nil {
+			return false
+		}
+		v.floats = append(v.floats, x)
+	case Bool:
+		x, err := ParseBool(field)
+		if err != nil {
+			return false
+		}
+		v.bools = append(v.bools, x)
+	case Time:
+		x, err := ParseTime(field)
+		if err != nil {
+			return false
+		}
+		v.times = append(v.times, x)
+	}
+	v.length++
+	return true
+}
+
+// pushNull appends a NULL cell to a vector under construction.
+func (v *ColumnVector) pushNull() {
+	v.nulls.set(v.length)
+	v.nullCount++
+	v.appendZero()
+	v.length++
+}
+
+// seal stamps a vector built by pushValue/pushField exactly as appending
+// its rows one by one with appendValue would have: each chunk carries the
+// stamp of its last row, min((k+1)·ChunkSize, n), and the epoch is n.
+func (v *ColumnVector) seal() {
+	if n := v.Chunks(); n > 0 {
+		v.chunkStamps = make([]uint64, n)
+		for k := range v.chunkStamps {
+			_, hi := v.ChunkBounds(k)
+			v.chunkStamps[k] = uint64(hi)
+		}
+	}
+	v.stampEpoch = uint64(v.length)
+}
+
+// format renders the cell of row i exactly as FormatValue(v.Value(i))
+// does, without boxing it.
+func (v *ColumnVector) format(i int) string {
+	if v.nulls.Get(i) {
+		return ""
+	}
+	switch v.typ {
+	case String:
+		return v.dict[v.codes[i]]
+	case Integer:
+		return strconv.FormatInt(v.ints[i], 10)
+	case Float:
+		return FormatFloat(v.floats[i])
+	case Bool:
+		return strconv.FormatBool(v.bools[i])
+	case Time:
+		return FormatTime(v.times[i])
+	}
+	return ""
 }
 
 // appendZero appends the zero slot that keeps typed storage positionally
@@ -528,9 +633,9 @@ func (v *ColumnVector) deleteRows(drop map[int]struct{}) {
 	v.invalidate()
 }
 
-// Vector returns the columnar view of one column, materializing the
-// table's vectors from the row store on first access. It returns nil for
-// unknown tables or columns. The returned vector is maintained
+// Vector returns the columnar view of one column, building the table's
+// vectors from its rows on first access to a row-first table. It returns
+// nil for unknown tables or columns. The returned vector is maintained
 // incrementally by subsequent Insert/Update/Delete calls; like the row
 // view, it must not be read concurrently with mutation.
 func (db *Database) Vector(table, column string) *ColumnVector {
@@ -565,46 +670,62 @@ func (db *Database) vectorsLocked(t *Table) []*ColumnVector {
 	if vs, ok := db.vecs[t.Name]; ok {
 		return vs
 	}
-	vs := make([]*ColumnVector, len(t.Columns))
-	for i, c := range t.Columns {
-		vs[i] = newColumnVector(c.Type)
-	}
-	for _, row := range db.rows[t.Name] {
-		for i := range vs {
-			vs[i].appendValue(row[i])
-		}
+	vs := db.restageLocked(t)
+	for _, v := range vs {
+		v.seal()
 	}
 	db.vecs[t.Name] = vs
 	return vs
 }
 
-// vecInsert appends a row to the table's vectors if they are materialized.
-func (db *Database) vecInsert(table string, row Row) {
-	db.vecMu.Lock()
-	defer db.vecMu.Unlock()
-	if vs, ok := db.vecs[table]; ok {
-		for i := range vs {
-			vs[i].appendValue(row[i])
+// restageLocked returns unsealed vectors holding the table's current
+// content, read from whichever view is built, so that a build can append
+// to them. A fresh build compacts: the dictionary holds exactly the live
+// strings in first-occurrence row order. Callers hold vecMu.
+func (db *Database) restageLocked(t *Table) []*ColumnVector {
+	vs := make([]*ColumnVector, len(t.Columns))
+	for i, c := range t.Columns {
+		vs[i] = newColumnVector(c.Type)
+	}
+	if rows, ok := db.rows[t.Name]; ok {
+		for _, row := range rows {
+			for i := range vs {
+				vs[i].pushValue(row[i])
+			}
+		}
+	} else if old, ok := db.vecs[t.Name]; ok {
+		for i, v := range old {
+			for r := 0; r < v.Len(); r++ {
+				vs[i].pushValue(v.Value(r))
+			}
 		}
 	}
+	return vs
 }
 
-// vecUpdate mirrors an Update into the materialized vectors.
-func (db *Database) vecUpdate(table string, rowIndex, colIndex int, val Value) {
-	db.vecMu.Lock()
-	defer db.vecMu.Unlock()
-	if vs, ok := db.vecs[table]; ok {
-		vs[colIndex].setValue(rowIndex, val)
+// vectorsLen is the row count of a table held as vectors.
+func vectorsLen(vs []*ColumnVector) int {
+	if len(vs) == 0 {
+		return 0
 	}
+	return vs[0].Len()
 }
 
-// vecDelete mirrors a Delete into the materialized vectors.
-func (db *Database) vecDelete(table string, drop map[int]struct{}) {
-	db.vecMu.Lock()
-	defer db.vecMu.Unlock()
-	if vs, ok := db.vecs[table]; ok {
-		for i := range vs {
-			vs[i].deleteRows(drop)
+// deriveRows builds the row view of a column-first table from its
+// vectors, all rows sharing one backing array of cells.
+func deriveRows(vs []*ColumnVector) []Row {
+	n, w := vectorsLen(vs), len(vs)
+	if n == 0 {
+		return nil
+	}
+	cells := make([]Value, n*w)
+	rows := make([]Row, n)
+	for i := range rows {
+		row := cells[i*w : (i+1)*w : (i+1)*w]
+		for j, v := range vs {
+			row[j] = v.Value(i)
 		}
+		rows[i] = row
 	}
+	return rows
 }

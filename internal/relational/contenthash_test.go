@@ -85,7 +85,7 @@ func TestContentHashInvalidatedByMutations(t *testing.T) {
 }
 
 // ReadCSV after a materialized columnar view must not leave the view
-// stale (the vector is dropped and rebuilt lazily).
+// stale (the load rebuilds the vectors over the old and new rows).
 func TestReadCSVDropsStaleVectors(t *testing.T) {
 	db := NewDatabase(testSchema(t))
 	db.MustInsert("artists", 1, "Queen")

@@ -10,20 +10,35 @@ import (
 )
 
 // WriteCSV encodes one table as CSV: a header line with the column names
-// followed by one line per row. NULL is encoded as the empty field.
+// followed by one line per row. NULL is encoded as the empty field. It
+// reads whichever view the table holds — rows if built, else vectors —
+// and builds neither, so the bytes (and the ContentHash over them) do not
+// depend on how the table was filled.
 func (db *Database) WriteCSV(table string, w io.Writer) error {
 	t := db.Schema.Table(table)
 	if t == nil {
 		return fmt.Errorf("relational: unknown table %s", table)
 	}
+	db.vecMu.Lock()
+	rows, hasRows := db.rows[table]
+	vs := db.vecs[table]
+	db.vecMu.Unlock()
 	cw := csv.NewWriter(w)
 	if err := cw.Write(t.ColumnNames()); err != nil {
 		return err
 	}
+	n := len(rows)
+	if !hasRows {
+		n = vectorsLen(vs)
+	}
 	record := make([]string, len(t.Columns))
-	for _, row := range db.rows[table] {
-		for i, v := range row {
-			record[i] = FormatValue(v)
+	for r := 0; r < n; r++ {
+		for i := range record {
+			if hasRows {
+				record[i] = FormatValue(rows[r][i])
+			} else {
+				record[i] = vs[i].format(r)
+			}
 		}
 		if err := cw.Write(record); err != nil {
 			return err
@@ -33,12 +48,19 @@ func (db *Database) WriteCSV(table string, w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV decodes rows for an existing table from CSV produced by
-// WriteCSV. The header must match the table's columns; empty fields become
-// NULL and the remaining fields are parsed according to the column types.
-// The load is atomic: rows are staged and committed only when the whole
-// input parses, so a malformed line mid-file leaves the table untouched.
-// Parse errors name the 1-based input line and the column.
+// ReadCSV appends rows to an existing table from CSV produced by WriteCSV.
+// The header must match the table's columns; empty fields become NULL and
+// the remaining fields are parsed according to the column types.
+//
+// Records decode straight into the table's column vectors — no Row is
+// built and no cell is boxed — and the table becomes column-first: its
+// rows are derived from the vectors on first row-API use. The vectors
+// are exactly those Vector would build from the equivalent inserted rows
+// (same dictionary order, counts, codes, nulls, and chunk stamps). The
+// load is atomic: records decode into staged vectors that are committed
+// only when the whole input parses, so a malformed line mid-file leaves
+// the table untouched. Parse errors name the 1-based input line and the
+// column.
 func (db *Database) ReadCSV(table string, r io.Reader) error {
 	t := db.Schema.Table(table)
 	if t == nil {
@@ -46,47 +68,66 @@ func (db *Database) ReadCSV(table string, r io.Reader) error {
 	}
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(t.Columns)
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return fmt.Errorf("relational: read csv for %s: %w", table, err)
+	}
+	if len(header) != len(t.Columns) { // only a table without columns gets here
+		return fmt.Errorf("relational: csv header mismatch for %s: got %d columns, want %d", table, len(header), len(t.Columns))
 	}
 	for i, name := range header {
 		if name != t.Columns[i].Name {
 			return fmt.Errorf("relational: csv header mismatch for %s: got %q, want %q", table, name, t.Columns[i].Name)
 		}
 	}
-	var staged []Row
-	for {
-		record, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("relational: read csv for %s: %w", table, err)
-		}
-		row := make(Row, len(record))
-		for i, field := range record {
-			if field == "" {
-				continue // NULL
-			}
-			cv, cerr := Coerce(t.Columns[i].Type, field)
-			if cerr != nil {
-				line, _ := cr.FieldPos(i)
-				return fmt.Errorf("relational: csv for %s: line %d, column %s: %w", table, line, t.Columns[i].Name, cerr)
-			}
-			row[i] = cv
-		}
-		staged = append(staged, row)
-	}
-	db.rows[table] = append(db.rows[table], staged...)
-	// The bulk append bypasses the incremental columnar maintenance, so a
-	// vector materialized before the load would be stale: drop it (it is
-	// rebuilt lazily) and invalidate the table's content hash.
+	// An append to a table that already holds data restages that data
+	// first, so the result is a fresh build over old and new rows alike.
 	db.vecMu.Lock()
-	delete(db.vecs, table)
+	staged := db.restageLocked(t)
+	db.vecMu.Unlock()
+	if err := decodeCSV(cr, t, staged); err != nil {
+		return err
+	}
+	for _, v := range staged {
+		v.seal()
+	}
+	db.vecMu.Lock()
+	db.vecs[table] = staged
+	delete(db.rows, table)
 	db.vecMu.Unlock()
 	db.invalidateHash(table)
 	return nil
+}
+
+// decodeCSV appends every remaining record of cr to the staged vectors
+// of t, one field per column.
+//
+//efes:hot
+func decodeCSV(cr *csv.Reader, t *Table, staged []*ColumnVector) error {
+	for {
+		record, err := cr.Read()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			//lint:ignore hotalloc cold error path: the load fails and stops here
+			return fmt.Errorf("relational: read csv for %s: %w", t.Name, err)
+		}
+		for i, field := range record {
+			if !staged[i].pushField(field) {
+				return fieldError(cr, t, i, field)
+			}
+		}
+	}
+}
+
+// fieldError reports a field that does not parse as its column's type,
+// with Coerce's wording, the 1-based input line and the column name.
+func fieldError(cr *csv.Reader, t *Table, i int, field string) error {
+	_, cerr := Coerce(t.Columns[i].Type, field)
+	line, _ := cr.FieldPos(i)
+	return fmt.Errorf("relational: csv for %s: line %d, column %s: %w", t.Name, line, t.Columns[i].Name, cerr)
 }
 
 // SaveDir writes the whole database to a directory: schema.txt describing

@@ -63,3 +63,21 @@ func TestFaultFreeCSVRoundTripStillWorks(t *testing.T) {
 		t.Errorf("empty fields must load as NULL: %v", rows[1])
 	}
 }
+
+// A schema may declare a table without columns (`table t()`), and an
+// upload can pair it with any CSV: a header with fields is a mismatch,
+// reported as an error rather than an index panic.
+func TestCSVForTableWithoutColumnsFailsCleanly(t *testing.T) {
+	s, err := ParseSchemaText("schema s\n  table empty()\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase(s)
+	err = db.ReadCSV("empty", strings.NewReader("a,b\n1,2\n"))
+	if err == nil || !strings.Contains(err.Error(), "header mismatch for empty") {
+		t.Fatalf("err = %v, want a header mismatch", err)
+	}
+	if db.NumRows("empty") != 0 {
+		t.Errorf("rows = %d, want 0", db.NumRows("empty"))
+	}
+}

@@ -25,14 +25,18 @@ type Database struct {
 	// violations reported by Validate).
 	Schema *Schema
 
-	rows map[string][]Row //efes:bounded one slice per table of the loaded instance, one element per row
-
-	// vecs holds the lazily materialized columnar view of each table
-	// (see colvec.go). vecMu guards the map and first-access builds:
-	// concurrent profiling readers may trigger materialization, which
-	// turns a read into a write.
+	// A table is held as rows, as vectors (see colvec.go), or both. A
+	// table filled by ReadCSV starts with vectors only and derives its
+	// rows on first row-API use; a table filled by Insert starts with
+	// rows only and builds its vectors on first columnar access. A
+	// missing entry in both maps is an empty table. vecMu guards both
+	// maps and those first-use builds: concurrent readers may trigger a
+	// build, which turns a read into a write.
 	vecMu sync.Mutex
-	vecs  map[string][]*ColumnVector //efes:guardedby vecMu
+	//efes:bounded one slice per table of the loaded instance, one element per row
+	rows map[string][]Row //efes:guardedby vecMu
+	//efes:bounded one vector per column of each table of the schema
+	vecs map[string][]*ColumnVector //efes:guardedby vecMu
 
 	// hashes memoizes per-table content hashes (ContentHash). hashMu is
 	// separate from vecMu so a first-time hash (a full CSV serialization
@@ -59,7 +63,8 @@ func NewDatabase(s *Schema) *Database {
 // tuples in the same order, whatever process or machine computed the
 // hash — the content address that keys the durable profile and result
 // caches (internal/persist). The hash is memoized per table and
-// invalidated by Insert, Update, Delete, and ReadCSV.
+// invalidated by Insert, Update, Delete, and ReadCSV. Hashing reads
+// whichever view the table holds and builds neither.
 func (db *Database) ContentHash(table string) (string, error) {
 	db.hashMu.Lock()
 	defer db.hashMu.Unlock()
@@ -101,8 +106,14 @@ func (db *Database) Insert(table string, values ...Value) error {
 		}
 		row[i] = cv
 	}
-	db.rows[table] = append(db.rows[table], row)
-	db.vecInsert(table, row)
+	db.vecMu.Lock()
+	db.rows[table] = append(db.rowsLocked(table), row)
+	if vs, ok := db.vecs[table]; ok {
+		for i := range vs {
+			vs[i].appendValue(row[i])
+		}
+	}
+	db.vecMu.Unlock()
 	db.invalidateHash(table)
 	return nil
 }
@@ -139,18 +150,53 @@ func (db *Database) InsertMap(table string, values map[string]Value) error {
 	return db.Insert(table, row...)
 }
 
-// Rows returns the tuples of the named table. The returned slice is owned
-// by the database and must not be mutated.
-func (db *Database) Rows(table string) []Row { return db.rows[table] }
+// Rows returns the tuples of the named table, deriving them from the
+// vectors of a column-first table on first use. The returned slice is
+// owned by the database and must not be mutated.
+func (db *Database) Rows(table string) []Row {
+	db.vecMu.Lock()
+	defer db.vecMu.Unlock()
+	return db.rowsLocked(table)
+}
 
-// NumRows returns the number of tuples in the named table.
-func (db *Database) NumRows(table string) int { return len(db.rows[table]) }
+// rowsLocked returns the row view of a table, deriving and memoizing it
+// when only vectors are held. Callers hold vecMu.
+func (db *Database) rowsLocked(table string) []Row {
+	if rs, ok := db.rows[table]; ok {
+		return rs
+	}
+	vs, ok := db.vecs[table]
+	if !ok {
+		return nil
+	}
+	rs := deriveRows(vs)
+	db.rows[table] = rs
+	return rs
+}
+
+// NumRows returns the number of tuples in the named table. It reads
+// whichever view the table holds and builds neither.
+func (db *Database) NumRows(table string) int {
+	db.vecMu.Lock()
+	defer db.vecMu.Unlock()
+	return db.numRowsLocked(table)
+}
+
+// numRowsLocked is NumRows for callers holding vecMu.
+func (db *Database) numRowsLocked(table string) int {
+	if rs, ok := db.rows[table]; ok {
+		return len(rs)
+	}
+	return vectorsLen(db.vecs[table])
+}
 
 // TotalRows returns the number of tuples over all tables.
 func (db *Database) TotalRows() int {
+	db.vecMu.Lock()
+	defer db.vecMu.Unlock()
 	n := 0
-	for _, rs := range db.rows {
-		n += len(rs)
+	for _, t := range db.Schema.Tables() {
+		n += db.numRowsLocked(t.Name)
 	}
 	return n
 }
@@ -166,8 +212,9 @@ func (db *Database) Column(table, column string) ([]Value, error) {
 	if idx < 0 {
 		return nil, fmt.Errorf("relational: unknown column %s.%s", table, column)
 	}
-	out := make([]Value, 0, len(db.rows[table]))
-	for _, row := range db.rows[table] {
+	rows := db.Rows(table)
+	out := make([]Value, 0, len(rows))
+	for _, row := range rows {
 		out = append(out, row[idx])
 	}
 	return out, nil
@@ -219,15 +266,23 @@ func (db *Database) Validate() []Violation {
 	return out
 }
 
-// Clone deep-copies the instance (sharing the immutable schema).
+// Clone deep-copies the instance (sharing the immutable schema) as a
+// row-first copy: it derives the source's rows where only vectors are
+// held, and the copy builds its own vectors on demand.
 func (db *Database) Clone() *Database {
 	out := NewDatabase(db.Schema)
-	for table, rs := range db.rows {
+	db.vecMu.Lock()
+	defer db.vecMu.Unlock()
+	for _, t := range db.Schema.Tables() {
+		rs := db.rowsLocked(t.Name)
+		if rs == nil {
+			continue
+		}
 		cp := make([]Row, len(rs))
 		for i, r := range rs {
 			cp[i] = r.clone()
 		}
-		out.rows[table] = cp
+		out.rows[t.Name] = cp
 	}
 	return out
 }
@@ -242,7 +297,8 @@ func (db *Database) Delete(table string, rowIndexes ...int) {
 	for _, i := range rowIndexes {
 		drop[i] = struct{}{}
 	}
-	src := db.rows[table]
+	db.vecMu.Lock()
+	src := db.rowsLocked(table)
 	dst := src[:0]
 	for i, r := range src {
 		if _, gone := drop[i]; !gone {
@@ -250,7 +306,12 @@ func (db *Database) Delete(table string, rowIndexes ...int) {
 		}
 	}
 	db.rows[table] = dst
-	db.vecDelete(table, drop)
+	if vs, ok := db.vecs[table]; ok {
+		for i := range vs {
+			vs[i].deleteRows(drop)
+		}
+	}
+	db.vecMu.Unlock()
 	db.invalidateHash(table)
 }
 
@@ -264,16 +325,29 @@ func (db *Database) Update(table string, rowIndex int, column string, v Value) e
 	if idx < 0 {
 		return fmt.Errorf("relational: update unknown column %s.%s", table, column)
 	}
-	if rowIndex < 0 || rowIndex >= len(db.rows[table]) {
-		return fmt.Errorf("relational: update %s: row %d out of range", table, rowIndex)
+	db.vecMu.Lock()
+	err := db.updateLocked(t, rowIndex, idx, v)
+	db.vecMu.Unlock()
+	if err != nil {
+		return err
+	}
+	db.invalidateHash(table)
+	return nil
+}
+
+// updateLocked is the body of Update for callers holding vecMu.
+func (db *Database) updateLocked(t *Table, rowIndex, idx int, v Value) error {
+	if rowIndex < 0 || rowIndex >= db.numRowsLocked(t.Name) {
+		return fmt.Errorf("relational: update %s: row %d out of range", t.Name, rowIndex)
 	}
 	cv, err := Coerce(t.Columns[idx].Type, v)
 	if err != nil {
 		return err
 	}
-	db.rows[table][rowIndex][idx] = cv
-	db.vecUpdate(table, rowIndex, idx, cv)
-	db.invalidateHash(table)
+	db.rowsLocked(t.Name)[rowIndex][idx] = cv
+	if vs, ok := db.vecs[t.Name]; ok {
+		vs[idx].setValue(rowIndex, cv)
+	}
 	return nil
 }
 
@@ -296,7 +370,7 @@ func (db *Database) EquiJoin(leftTable, leftColumn, rightTable, rightColumn stri
 		return nil, fmt.Errorf("relational: join on unknown columns %s.%s, %s.%s", leftTable, leftColumn, rightTable, rightColumn)
 	}
 	index := make(map[string][]int)
-	for j, row := range db.rows[rightTable] {
+	for j, row := range db.Rows(rightTable) {
 		v := row[ri]
 		if v == nil {
 			continue
@@ -305,7 +379,7 @@ func (db *Database) EquiJoin(leftTable, leftColumn, rightTable, rightColumn stri
 		index[k] = append(index[k], j)
 	}
 	var out []JoinPair
-	for i, row := range db.rows[leftTable] {
+	for i, row := range db.Rows(leftTable) {
 		v := row[li]
 		if v == nil {
 			continue
