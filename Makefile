@@ -3,12 +3,16 @@
 # parallel experiment grid — must stay race-clean). The resilience suite
 # (fault injection, deadlines, graceful degradation) runs a second,
 # focused pass so a fault-harness regression is reported by name, and
-# efeslint enforces the cross-cutting invariants (DESIGN.md §8).
+# efeslint enforces the cross-cutting invariants (DESIGN.md §8). The
+# gofmt gate covers every tracked .go file except testdata, whose golden
+# diagnostics pin line:col positions, and the benchmark's build directory.
 .PHONY: verify build test bench bench-smoke faults lint efesd-smoke perfbench-smoke
 
 verify:
 	go build ./...
 	go vet ./...
+	@unformatted=$$(git ls-files '*.go' | grep -Ev '(^|/)testdata/|^\.bench_build/' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 	go test -race ./...
 	go test -race -run 'Fault|Resilience' ./...
 	go test -race -run 'KillRestart|GracefulDrain|EvictionSmoke' ./cmd/efesd/

@@ -124,7 +124,7 @@ func main() {
 	}
 	fmt.Printf("efesd: listening on %s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := newHTTPServer(srv, readHeaderTimeout, idleTimeout)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
@@ -145,6 +145,22 @@ func main() {
 			fmt.Fprintf(os.Stderr, "efesd: serve: %v\n", err)
 		}
 	}
+}
+
+// Connection timeouts of the daemon's HTTP server. A client that never
+// finishes its request headers, or a keep-alive connection left idle, is
+// closed rather than held forever. There is no read or write timeout:
+// uploads are large, and -request-timeout bounds the handlers.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the HTTP server that serves h, closing connections
+// whose request headers take longer than readHeader to arrive or that
+// stay idle between requests longer than idle.
+func newHTTPServer(h http.Handler, readHeader, idle time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
 }
 
 func fatal(err error) {

@@ -48,18 +48,17 @@ func PairElem(a, b string) string {
 	return fmt.Sprintf("%d:%s|%s", len(a), a, b)
 }
 
-// SplitPair decodes a PairElem.
+// SplitPair decodes a PairElem. It accepts only the encoding PairElem
+// writes: the length is plain decimal, without sign or leading zeros, so
+// two distinct strings never decode to the same pair.
 func SplitPair(p string) (string, string, bool) {
 	i := strings.IndexByte(p, ':')
-	if i < 0 {
+	if i < 1 || (p[0] == '0' && i > 1) || strings.Trim(p[:i], "0123456789") != "" {
 		return "", "", false
 	}
 	n, err := strconv.Atoi(p[:i])
-	if err != nil || n < 0 {
-		return "", "", false
-	}
 	rest := p[i+1:]
-	if len(rest) < n+1 || rest[n] != '|' {
+	if err != nil || n >= len(rest) || rest[n] != '|' {
 		return "", "", false
 	}
 	return rest[:n], rest[n+1:], true

@@ -21,6 +21,16 @@ import (
 // start element. Strings are rendered lazily, only for samples, traces,
 // and the Source-interface compatibility methods.
 //
+// Interning is demand-driven. Construction validates the graph against
+// the database and records which column populates each attribute node;
+// an attribute node's elements and tuple→value CSR are built when a query
+// first reaches the node, the value→tuple CSR and each equality
+// relationship when a query first reaches the edge. An element ID depends
+// only on its own column, so the build order cannot change any answer.
+// The structure detector evaluates paths only for target relationships
+// whose inferred cardinality is not statically safe, so it interns only
+// the columns those paths touch.
+//
 // The string-based Instance remains the semantic oracle: intern_test.go
 // property-tests element, link-count, violation-split, and sample identity
 // between the two representations over randomized scenarios.
@@ -30,6 +40,12 @@ type elemTable struct {
 	// table is non-empty for table nodes: element i is tuple i of that
 	// table, rendered lazily as "table#i".
 	table string
+	// col is the column an attribute node interns and edge the
+	// tuple→value relationship that interning it populates. elems and n
+	// are valid once built is set (Interned.node).
+	col   *relational.ColumnVector
+	edge  *Edge
+	built bool
 	// elems holds the distinct values of an attribute node in first
 	// occurrence order (ID = slice index). The strings alias the column
 	// dictionary where one exists, so no per-element copies are made.
@@ -60,12 +76,23 @@ func (a *csrAdj) links(i int32) []int32 { return a.targets[a.offsets[i]:a.offset
 // Interned is a CSG instance with interned integer elements and CSR
 // adjacency. It implements Source, so the complex-relationship evaluators
 // accept it interchangeably with the string-based Instance.
+//
+// Element tables and adjacencies are built on first use and memoized
+// without locking, so an Interned has a single owner: its methods must
+// not be called concurrently, and the database it was built from must
+// not be mutated while the instance is in use.
 type Interned struct {
 	// Graph is the CSG this instance belongs to.
 	Graph *Graph
 
+	// nodes holds the element table of every node the database
+	// populates; node fills attribute tables on first use.
 	nodes map[*Node]*elemTable
-	adj   map[*Edge]*csrAdj
+	// adj holds an entry for every relationship the database populates;
+	// edge builds a nil entry on first use.
+	adj map[*Edge]*csrAdj
+	// builds counts the attribute nodes interned so far.
+	builds int
 }
 
 // FromDatabaseInterned converts a relational instance into an interned CSG
@@ -73,7 +100,10 @@ type Interned struct {
 // the integer-ID equivalent of FromDatabase: element IDs are assigned in
 // the exact order FromDatabase interns element strings (tuples in row
 // order, attribute values in first-occurrence row order), so lazy
-// rendering reproduces the oracle's elements byte for byte.
+// rendering reproduces the oracle's elements byte for byte. It checks
+// that the graph has a node and edge for every table and column and that
+// every equality edge joins two of them; the elements and links
+// themselves are built on demand.
 func FromDatabaseInterned(g *Graph, db *relational.Database) (*Interned, error) {
 	in := &Interned{
 		Graph: g,
@@ -85,35 +115,27 @@ func FromDatabaseInterned(g *Graph, db *relational.Database) (*Interned, error) 
 		if tn == nil {
 			return nil, fmt.Errorf("csg: graph lacks table node %s", t.Name)
 		}
-		nRows := db.NumRows(t.Name)
-		in.nodes[tn] = &elemTable{table: t.Name, n: nRows}
+		in.nodes[tn] = &elemTable{table: t.Name, n: db.NumRows(t.Name)}
 		vecs := db.Vectors(t.Name)
 		for ci, c := range t.Columns {
-			an := g.Node(AttributeNodeID(t.Name, c.Name))
-			edge := g.EdgeBetween(t.Name, an.ID)
+			id := AttributeNodeID(t.Name, c.Name)
+			edge := g.EdgeBetween(t.Name, id)
 			if edge == nil {
-				return nil, fmt.Errorf("csg: graph lacks edge %s -> %s", t.Name, an.ID)
+				return nil, fmt.Errorf("csg: graph lacks edge %s -> %s", t.Name, id)
 			}
-			et, fwd := buildAttribute(vecs[ci])
-			in.nodes[an] = et
-			in.adj[edge] = fwd
-			in.adj[edge.Inverse] = transpose(fwd, et.n)
+			in.nodes[edge.To] = &elemTable{col: vecs[ci], edge: edge}
+			in.adj[edge], in.adj[edge.Inverse] = nil, nil
 		}
 	}
-	// Equality edges: link equal elements of the two attribute nodes.
-	// Each undirected relationship is processed exactly once, tracked by
-	// an explicit set (not inferred from populated-links state).
-	done := make(map[*Edge]bool)
+	// Equality edges: both ends must be populated attribute nodes.
 	for _, e := range g.Edges() {
-		if e.Kind != EqualityEdge || done[e] || done[e.Inverse] {
+		if e.Kind != EqualityEdge {
 			continue
 		}
-		done[e] = true
-		from, to := in.nodes[e.From], in.nodes[e.To]
-		if from == nil || to == nil {
+		if in.nodes[e.From] == nil || in.nodes[e.To] == nil {
 			return nil, fmt.Errorf("csg: equality edge %s references missing element table", e)
 		}
-		in.adj[e], in.adj[e.Inverse] = equalityAdj(from, to)
+		in.adj[e] = nil
 	}
 	return in, nil
 }
@@ -127,21 +149,59 @@ func MustFromDatabaseInterned(g *Graph, db *relational.Database) *Interned {
 	return in
 }
 
+// node returns the element table of n, interning an attribute node's
+// column on first use, or nil if the database does not populate n.
+func (in *Interned) node(n *Node) *elemTable {
+	et := in.nodes[n]
+	if et != nil && et.col != nil && !et.built {
+		var fwd *csrAdj
+		et.elems, fwd = buildAttribute(et.col)
+		et.n = len(et.elems)
+		et.built = true
+		in.adj[et.edge] = fwd
+		in.builds++
+	}
+	return et
+}
+
+// edge returns the adjacency of e, building it on first use, or nil if the
+// database does not populate e. A tuple→value CSR comes from interning its
+// attribute node, a value→tuple CSR is the transpose of its inverse, and
+// an equality relationship is built in both directions at once.
+func (in *Interned) edge(e *Edge) *csrAdj {
+	a, ok := in.adj[e]
+	if !ok || a != nil {
+		return a
+	}
+	switch {
+	case e.Kind == EqualityEdge:
+		in.adj[e], in.adj[e.Inverse] = equalityAdj(in.node(e.From), in.node(e.To))
+	case in.nodes[e.To].edge == e:
+		in.node(e.To)
+	default:
+		fwd := in.edge(e.Inverse)
+		in.adj[e] = transpose(fwd, in.node(e.From).n)
+	}
+	return in.adj[e]
+}
+
 // buildAttribute interns one column: the distinct non-NULL values become
 // the attribute node's elements (first-occurrence order), and the
 // tuple→value links become a CSR with at most one target per row. String
 // columns map dictionary codes to element IDs directly — no hashing and no
 // re-rendering; other types key their typed vectors.
+//
 //efes:hot
-func buildAttribute(v *relational.ColumnVector) (*elemTable, *csrAdj) {
+func buildAttribute(v *relational.ColumnVector) ([]string, *csrAdj) {
 	nRows := v.Len()
-	et := &elemTable{}
 	fwd := &csrAdj{
 		offsets: make([]int32, nRows+1),
 		targets: make([]int32, 0, nRows-v.NullCount()),
 	}
 	nulls := v.Nulls()
-	elems := make([]string, 0, nRows-v.NullCount()) // distinct ≤ non-NULL rows
+	// A string column has at most one element per dictionary entry; the
+	// other types have no dictionary and grow to their distinct count.
+	elems := make([]string, 0, len(v.Dict()))
 	appendRow := func(i int, id int32) {
 		fwd.offsets[i+1] = fwd.offsets[i] + 1
 		fwd.targets = append(fwd.targets, id)
@@ -218,14 +278,13 @@ func buildAttribute(v *relational.ColumnVector) (*elemTable, *csrAdj) {
 	if len(elems) == 0 {
 		elems = nil // Elements hands this slice out; the oracle renders an empty node as nil
 	}
-	et.elems = elems
-	et.n = len(elems)
-	return et, fwd
+	return elems, fwd
 }
 
 // transpose inverts a CSR adjacency (counting sort over target IDs): the
 // result's element i links to every source element that links to i. Link
 // order is source order, matching the oracle's insertion order.
+//
 //efes:hot
 func transpose(a *csrAdj, nTo int) *csrAdj {
 	out := &csrAdj{offsets: make([]int32, nTo+1), targets: make([]int32, len(a.targets))}
@@ -248,6 +307,7 @@ func transpose(a *csrAdj, nTo int) *csrAdj {
 
 // equalityAdj links equal elements of two attribute nodes (at most one per
 // element, since attribute elements are distinct values).
+//
 //efes:hot
 func equalityAdj(from, to *elemTable) (*csrAdj, *csrAdj) {
 	toIdx := to.lookup()
@@ -322,7 +382,7 @@ func (et *elemTable) elemID(elem string) int32 {
 
 // NumElements returns the number of elements of a node.
 func (in *Interned) NumElements(n *Node) int {
-	et := in.nodes[n]
+	et := in.node(n)
 	if et == nil {
 		return 0
 	}
@@ -333,7 +393,7 @@ func (in *Interned) NumElements(n *Node) int {
 // strings. Table-node renderings are memoized on first call; the hot
 // paths (LinkCounts, ViolationSplit) never need them.
 func (in *Interned) Elements(n *Node) []string {
-	et := in.nodes[n]
+	et := in.node(n)
 	if et == nil {
 		return nil
 	}
@@ -353,8 +413,8 @@ func (in *Interned) Elements(n *Node) []string {
 // rendered lazily (Source interface; the vectorized paths below stay in ID
 // space).
 func (in *Interned) Links(e *Edge, elem string) []string {
-	a := in.adj[e]
-	from, to := in.nodes[e.From], in.nodes[e.To]
+	a := in.edge(e)
+	from, to := in.node(e.From), in.node(e.To)
 	if a == nil || from == nil || to == nil {
 		return nil
 	}
@@ -377,12 +437,13 @@ func (in *Interned) Links(e *Edge, elem string) []string {
 // number of distinct end-node elements reachable along p. The result is
 // dense: counts[i] is the count of element i of the start node. It returns
 // nil for invalid paths (the oracle's empty map).
+//
 //efes:hot
 func (in *Interned) LinkCounts(p Path) []int32 {
 	if !p.Valid() {
 		return nil
 	}
-	start := in.nodes[p.Start()]
+	start := in.node(p.Start())
 	if start == nil {
 		return nil
 	}
@@ -393,8 +454,19 @@ func (in *Interned) LinkCounts(p Path) []int32 {
 	if len(p) == 1 {
 		// Single edge: links are distinct by construction (one value per
 		// row and column; equality links pair distinct values), so the
-		// count is the CSR degree.
-		a := in.adj[p[0]]
+		// count is the degree. A tuple has one value link per non-NULL
+		// cell, so a tuple→value degree reads the column's null bitmap
+		// and interns nothing.
+		if at := in.nodes[p[0].To]; at != nil && at.edge == p[0] {
+			nulls := at.col.Nulls()
+			for i := range counts {
+				if !nulls.Get(i) {
+					counts[i] = 1
+				}
+			}
+			return counts
+		}
+		a := in.edge(p[0])
 		if a == nil {
 			return counts
 		}
@@ -405,10 +477,13 @@ func (in *Interned) LinkCounts(p Path) []int32 {
 	}
 	// Multi-edge path: per start element, expand a frontier of element
 	// IDs edge by edge, deduplicating with a bitmap sized to the largest
-	// node on the path. The bitmap and both frontier buffers are reused
-	// across start elements; only the touched bits are cleared.
+	// node on the path. The adjacencies are resolved once; the bitmap and
+	// both frontier buffers are reused across start elements, and only
+	// the touched bits are cleared.
+	adjs := make([]*csrAdj, len(p))
 	maxN := 0
-	for _, e := range p {
+	for i, e := range p {
+		adjs[i] = in.edge(e)
 		if n := in.NumElements(e.To); n > maxN {
 			maxN = n
 		}
@@ -418,8 +493,7 @@ func (in *Interned) LinkCounts(p Path) []int32 {
 	next := make([]int32, 0, 64)
 	for s := 0; s < start.n; s++ {
 		cur = append(cur[:0], int32(s))
-		for _, e := range p {
-			a := in.adj[e]
+		for _, a := range adjs {
 			next = next[:0]
 			if a != nil {
 				for _, u := range cur {
@@ -445,6 +519,7 @@ func (in *Interned) LinkCounts(p Path) []int32 {
 // ActualCard summarizes the link counts of a path into the tightest
 // interval covering all observed counts; empty for instances without start
 // elements (the oracle's Instance.ActualCard).
+//
 //efes:hot
 func (in *Interned) ActualCard(p Path) Card {
 	counts := in.LinkCounts(p)
@@ -465,6 +540,7 @@ func (in *Interned) ActualCard(p Path) Card {
 
 // CountViolations counts the elements of the start node of p whose number
 // of reachable end elements is not admitted by the prescribed cardinality.
+//
 //efes:hot
 func (in *Interned) CountViolations(p Path, prescribed Card) int {
 	violations := 0
@@ -481,13 +557,14 @@ func (in *Interned) CountViolations(p Path, prescribed Card) int {
 // collects up to maxSamples offending elements per class — the
 // lexicographically smallest rendered elements, exactly as the oracle's
 // sorted-scan produces. Only sample candidates are rendered.
+//
 //efes:hot
 func (in *Interned) ViolationSplit(p Path, prescribed Card, maxSamples int) (below, above int, belowSamples, aboveSamples []string) {
 	counts := in.LinkCounts(p)
 	if len(counts) == 0 {
 		return 0, 0, nil, nil
 	}
-	start := in.nodes[p.Start()]
+	start := in.node(p.Start())
 	belowSel := newMinSampler(maxSamples)
 	aboveSel := newMinSampler(maxSamples)
 	for i, n := range counts {
@@ -537,9 +614,10 @@ func (m *minSampler) sorted() []string { return m.vals }
 // UnequalValues counts the elements of node from without an equal element
 // in node to (the structure detector's direct value-equality check for
 // unconnected equality relationships).
+//
 //efes:hot
 func (in *Interned) UnequalValues(from, to *Node) int {
-	ft, tt := in.nodes[from], in.nodes[to]
+	ft, tt := in.node(from), in.node(to)
 	if ft == nil || tt == nil {
 		return 0
 	}

@@ -148,6 +148,34 @@ func TestInternedMatchesOracle(t *testing.T) {
 				t.Fatalf("round %d: Links of unknown element = %q", round, got)
 			}
 		}
+		// A fresh instance queried in shuffled node and edge order builds
+		// its element tables and adjacencies in that order, and a
+		// single-edge link count may be its first touch of a node.
+		fresh := MustFromDatabaseInterned(g, db)
+		edges := g.Edges()
+		for _, k := range rand.New(rand.NewSource(int64(round))).Perm(len(nodes) + len(edges)) {
+			if k < len(nodes) {
+				n := nodes[k]
+				if got, want := fresh.Elements(n), oracle.Elements(n); !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d: fresh Elements(%s) = %q, want %q", round, n.ID, got, want)
+				}
+				continue
+			}
+			e := edges[k-len(nodes)]
+			oc, dense := oracle.LinkCounts(Path{e}), fresh.LinkCounts(Path{e})
+			elems := oracle.Elements(e.From)
+			if len(dense) != len(elems) {
+				t.Fatalf("round %d: fresh counts of %s sized %d, want %d", round, e, len(dense), len(elems))
+			}
+			for i, elem := range elems {
+				if int(dense[i]) != oc[elem] {
+					t.Fatalf("round %d: fresh count(%s, %q) = %d, want %d", round, e, elem, dense[i], oc[elem])
+				}
+				if got, want := fresh.Links(e, elem), oracle.Links(e, elem); !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d: fresh Links(%s, %q) = %q, want %q", round, e, elem, got, want)
+				}
+			}
+		}
 		// Random composed paths: counts, cards, violations, splits.
 		for trial := 0; trial < 12; trial++ {
 			from := nodes[r.Intn(len(nodes))]
@@ -363,10 +391,82 @@ func TestPairElemSplitPairProperty(t *testing.T) {
 		}
 	}
 	// Malformed inputs decode to not-ok rather than panicking.
-	for _, bad := range []string{"", "x", "5:ab|c", "1:", ":|", "-1:a|b", "2:ab", "1x:a|b"} {
+	for _, bad := range []string{"", "x", "5:ab|c", "1:", ":|", "-1:a|b", "2:ab", "1x:a|b",
+		"+1:a|b", "01:a|b", "00:|x", "9223372036854775807:a|b"} {
 		if _, _, ok := SplitPair(bad); ok {
 			t.Errorf("SplitPair(%q) = ok, want failure", bad)
 		}
+	}
+}
+
+// FuzzSplitPair: SplitPair never panics, and whatever it accepts is the
+// PairElem encoding of the pair it returns. The seed corpus is in
+// testdata/fuzz/FuzzSplitPair.
+func FuzzSplitPair(f *testing.F) {
+	f.Fuzz(func(t *testing.T, p string) {
+		if a, b, ok := SplitPair(p); ok && PairElem(a, b) != p {
+			t.Fatalf("SplitPair(%q) = (%q, %q), which encodes as %q", p, a, b, PairElem(a, b))
+		}
+	})
+}
+
+// TestFromDatabaseInternedForeignGraph: a graph that does not cover the
+// database fails at construction, before anything is interned, and a
+// node or edge of another graph reads as absent.
+func TestFromDatabaseInternedForeignGraph(t *testing.T) {
+	db := relational.NewDatabase(internTestSchema())
+	db.MustInsert("cats", "k1", "a")
+	db.MustInsert("items", int64(1), "x", 0.5, "k1")
+
+	noItems := relational.NewSchema("no-items")
+	noItems.MustAddTable(relational.MustTable("cats",
+		relational.Column{Name: "key", Type: relational.String},
+		relational.Column{Name: "name", Type: relational.String},
+	))
+	noRef := relational.NewSchema("no-ref")
+	noRef.MustAddTable(relational.MustTable("items",
+		relational.Column{Name: "id", Type: relational.Integer},
+		relational.Column{Name: "label", Type: relational.String},
+		relational.Column{Name: "score", Type: relational.Float},
+	))
+	extraFK := internTestSchema()
+	extraFK.MustAddTable(relational.MustTable("extra",
+		relational.Column{Name: "cat", Type: relational.String},
+	))
+	extraFK.MustAddConstraint(relational.ForeignKey{Table: "extra", Columns: []string{"cat"}, RefTable: "cats", RefColumns: []string{"key"}})
+	for _, c := range []struct {
+		schema *relational.Schema
+		want   string
+	}{
+		{noItems, "csg: graph lacks table node items"},
+		{noRef, "csg: graph lacks edge items -> items.ref"},
+		{extraFK, "csg: equality edge extra.cat -> cats.key [1] references missing element table"},
+	} {
+		in, err := FromDatabaseInterned(MustFromSchema(c.schema), db)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("graph of %s: FromDatabaseInterned = (%v, %v), want error %q", c.schema.Name, in, err, c.want)
+		}
+	}
+
+	g := MustFromSchema(db.Schema)
+	in := MustFromDatabaseInterned(g, db)
+	other := MustFromSchema(internTestSchema())
+	label := other.Node(AttributeNodeID("items", "label"))
+	e := other.EdgeBetween("items", label.ID)
+	if n := in.NumElements(other.Node("items")); n != 0 {
+		t.Errorf("foreign table node has %d elements, want 0", n)
+	}
+	if n := in.NumElements(label); n != 0 || in.Elements(label) != nil {
+		t.Errorf("foreign attribute node has %d elements (%q), want none", n, in.Elements(label))
+	}
+	if links := in.Links(e, "items#0"); links != nil {
+		t.Errorf("foreign edge links = %q, want none", links)
+	}
+	if counts := in.LinkCounts(Path{e}); counts != nil {
+		t.Errorf("foreign path counts = %v, want nil", counts)
+	}
+	if n := in.NumElements(g.Node(AttributeNodeID("items", "label"))); n != 1 {
+		t.Errorf("own attribute node has %d elements, want 1", n)
 	}
 }
 
