@@ -6,6 +6,8 @@
 # efeslint enforces the cross-cutting invariants (DESIGN.md §8). The
 # gofmt gate covers every tracked .go file except testdata, whose golden
 # diagnostics pin line:col positions, and the benchmark's build directory.
+# Last, perfbench-smoke builds and checks the benchmark module, which
+# `go build ./...` and `go test ./...` never see.
 .PHONY: verify build test bench bench-smoke faults lint efesd-smoke perfbench-smoke
 
 verify:
@@ -17,6 +19,7 @@ verify:
 	go test -race -run 'Fault|Resilience' ./...
 	go test -race -run 'KillRestart|GracefulDrain|EvictionSmoke' ./cmd/efesd/
 	go run ./cmd/efeslint ./...
+	$(MAKE) perfbench-smoke
 
 # efeslint: the in-tree static analyzer (internal/lint). Exits nonzero on
 # any finding; see `go run ./cmd/efeslint -list` for the rules.

@@ -3,7 +3,7 @@
 // cache for profile statistics and results.
 //
 //	efesd -addr :8080 -cache-dir /var/lib/efesd \
-//	      [-workers N] [-max-inflight N] [-request-timeout 30s] \
+//	      [-workers N] [-max-inflight N] [-max-upload-bytes N] [-request-timeout 30s] \
 //	      [-module-timeout 10s] [-retries 1] [-backoff 50ms] [-fail-fast] \
 //	      [-max-scenarios N] [-scenario-ttl 1h] \
 //	      [-skill 1.0] [-criticality 1.0] [-config FILE] \
@@ -46,6 +46,7 @@ func main() {
 	cacheMax := flag.Int64("cache-max-bytes", 0, "cache size bound in bytes (0 = default, negative = unbounded)")
 	workers := flag.Int("workers", 1, "concurrent module detectors per request")
 	maxInFlight := flag.Int("max-inflight", efesd.DefaultMaxInFlight, "admitted concurrent requests; excess is shed with 429")
+	maxUploadBytes := flag.Int64("max-upload-bytes", efesd.DefaultMaxUploadBytes, "largest scenario upload body in bytes; a larger one is refused with 413")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "default overall deadline per estimate request (0 = none)")
 	moduleTimeout := flag.Duration("module-timeout", 0, "deadline per module detector attempt (0 = none)")
 	retries := flag.Int("retries", 0, "retries per failed module detector")
@@ -70,6 +71,7 @@ func main() {
 		Workers:        *workers,
 		ProfileMode:    profileMode,
 		MaxInFlight:    *maxInFlight,
+		MaxUploadBytes: *maxUploadBytes,
 		RequestTimeout: *requestTimeout,
 		MaxScenarios:   *maxScenarios,
 		ScenarioTTL:    *scenarioTTL,

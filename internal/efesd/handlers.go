@@ -8,7 +8,6 @@ package efesd
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -85,8 +84,7 @@ func loadDB(spec dbSpec) (*relational.Database, error) {
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	var req uploadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+	if !s.decodeBody(w, r, s.cfg.MaxUploadBytes, &req) {
 		return
 	}
 	if req.Name == "" {
@@ -213,8 +211,7 @@ func (s *Server) requestPolicy(req estimateRequest) core.Resilience {
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var req estimateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+	if !s.decodeBody(w, r, maxRequestBytes, &req) {
 		return
 	}
 	q, err := parseQuality(req.Quality)
@@ -354,8 +351,7 @@ func resolveDB(e *scenarioEntry, name string) (*relational.Database, bool) {
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	var req profileRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+	if !s.decodeBody(w, r, maxRequestBytes, &req) {
 		return
 	}
 	entry, ok := s.lookup(r, req.Scenario)
@@ -400,8 +396,7 @@ type matchRequest struct {
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	var req matchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+	if !s.decodeBody(w, r, maxRequestBytes, &req) {
 		return
 	}
 	entry, ok := s.lookup(r, req.Scenario)
@@ -443,6 +438,9 @@ type statusResponse struct {
 	Admitted  int64 `json:"admitted"`
 	Shed      int64 `json:"shed"`
 	Panics    int64 `json:"panics"`
+	// TooLarge counts request bodies refused with 413 for exceeding
+	// their limit.
+	TooLarge int64 `json:"tooLarge"`
 
 	ResultHits   int64 `json:"resultHits"`
 	ResultMisses int64 `json:"resultMisses"`
@@ -479,6 +477,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		Admitted:            s.admitted.Load(),
 		Shed:                s.shed.Load(),
 		Panics:              s.panics.Load(),
+		TooLarge:            s.tooLarge.Load(),
 		ResultHits:          s.resultHits.Load(),
 		ResultMisses:        s.resultMisses.Load(),
 		Degraded:            s.degraded.Load(),

@@ -21,6 +21,7 @@ package efesd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -41,6 +42,15 @@ import (
 // Config.MaxInFlight is zero.
 const DefaultMaxInFlight = 32
 
+// DefaultMaxUploadBytes bounds a scenario upload body when
+// Config.MaxUploadBytes is zero. The paper-scale running example uploads
+// in about 10 MB.
+const DefaultMaxUploadBytes = 256 << 20
+
+// maxRequestBytes bounds the estimate, profile and match bodies, which
+// name a scenario and a few options.
+const maxRequestBytes = 1 << 20
+
 // Config configures a Server. The zero value is usable: default effort
 // configuration, one detector worker, a best-effort resilience policy,
 // no durable cache.
@@ -58,6 +68,9 @@ type Config struct {
 	// MaxInFlight bounds concurrently admitted requests; excess
 	// requests are shed with 429. 0 selects DefaultMaxInFlight.
 	MaxInFlight int
+	// MaxUploadBytes bounds a scenario upload body; a larger one is
+	// refused with 413. 0 selects DefaultMaxUploadBytes.
+	MaxUploadBytes int64
 	// RequestTimeout is the default overall deadline for estimate
 	// requests that do not set timeoutMs; 0 means no default deadline.
 	RequestTimeout time.Duration
@@ -132,6 +145,7 @@ type Server struct {
 	inflight     atomic.Int64
 	admitted     atomic.Int64
 	shed         atomic.Int64
+	tooLarge     atomic.Int64 // request bodies refused with 413
 	panics       atomic.Int64
 	resultHits   atomic.Int64
 	resultMisses atomic.Int64
@@ -154,6 +168,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxInFlight < 1 {
 		cfg.MaxInFlight = DefaultMaxInFlight
+	}
+	if cfg.MaxUploadBytes < 1 {
+		cfg.MaxUploadBytes = DefaultMaxUploadBytes
 	}
 	if len(cfg.Effort.Functions) == 0 {
 		cfg.Effort = effort.DefaultConfig()
@@ -298,6 +315,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(append(data, '\n'))
+}
+
+// decodeBody decodes a JSON request body of at most limit bytes into v.
+// On failure it writes the response itself, 413 for an oversized body
+// and 400 for a malformed one, and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.tooLarge.Add(1)
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit))
+		return false
+	}
+	writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+	return false
 }
 
 // writeError writes a JSON error body ({"error": ...}).

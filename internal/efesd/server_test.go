@@ -521,3 +521,38 @@ func TestWarmRestartInProcess(t *testing.T) {
 		t.Errorf("noCache profiling: %d disk hits / %d computes, want warm disk, zero computes", diskHits, computes)
 	}
 }
+
+// TestBodyLimits: an upload over the configured limit and an estimate
+// body over the fixed 1 MiB limit are refused with a JSON 413 and
+// counted in /v1/status; a normal upload and estimate then succeed.
+func TestBodyLimits(t *testing.T) {
+	upload := renderUpload(t, scenario.MusicExample(scenario.SmallExampleConfig()))
+	limit := len(upload)
+	_, ts := newTestServer(t, Config{MaxUploadBytes: int64(limit)})
+
+	for _, c := range []struct {
+		route string
+		body  []byte
+	}{
+		{"/v1/scenarios", []byte(fmt.Sprintf(`{"name": %q}`, strings.Repeat("x", limit)))},
+		{"/v1/estimate", estimateBody(strings.Repeat("x", maxRequestBytes), "")},
+	} {
+		resp, data := post(t, ts.URL+c.route, c.body, nil)
+		var body map[string]string
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(data, &body) != nil || body["error"] == "" {
+			t.Errorf("%s with a %d-byte body: status %d, body %s; want 413 with a JSON error",
+				c.route, len(c.body), resp.StatusCode, data)
+		}
+	}
+	if got := status(t, ts.URL).TooLarge; got != 2 {
+		t.Errorf("status tooLarge = %d, want 2", got)
+	}
+
+	uploadMusic(t, ts.URL, nil) // exactly the limit
+	if resp, data := post(t, ts.URL+"/v1/estimate", estimateBody(musicName, ""), nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("estimate after refusals: status %d: %s", resp.StatusCode, data)
+	}
+	if got := status(t, ts.URL).TooLarge; got != 2 {
+		t.Errorf("status tooLarge after normal requests = %d, want still 2", got)
+	}
+}

@@ -1,0 +1,5 @@
+package profile
+
+// StatsEqual is statsEqual for the external test package, whose
+// paper-scale tests import internal/scenario, which imports this package.
+var StatsEqual = statsEqual

@@ -370,8 +370,16 @@ func (p *Profiler) ColumnCoercedContext(ctx context.Context, db *relational.Data
 }
 
 // ColumnCoercedContextMode is ColumnCoercedContext with a per-request
-// mode override.
+// mode override. Viewing a column through its declared type changes no
+// value, so that view is the raw profile: the same memo entry and disk
+// key as ColumnContextMode, with no incompatible values.
 func (p *Profiler) ColumnCoercedContextMode(ctx context.Context, db *relational.Database, table, column string, typ relational.Type, mode Mode) (*ColumnStats, int, error) {
+	if t := db.Schema.Table(table); t != nil {
+		if col, ok := t.Column(column); ok && col.Type == typ {
+			cs, err := p.ColumnContextMode(ctx, db, table, column, mode)
+			return cs, 0, err
+		}
+	}
 	key := profileKey{db: db, table: table, column: column, typ: typ, coerced: true, mode: mode}
 	return p.get(ctx, key, func() (*ColumnStats, int, error) {
 		if vec := db.Vector(table, column); vec != nil {

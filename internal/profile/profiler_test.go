@@ -70,6 +70,21 @@ func TestProfilerCoercedViewIsSeparateEntry(t *testing.T) {
 	if p.Len() != 2 {
 		t.Errorf("entries = %d, want 2", p.Len())
 	}
+	// A view through the declared type is the raw profile itself.
+	title, err := p.Column(db, "songs", "title")
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, sameInc, err := p.ColumnCoerced(db, "songs", "title", relational.String)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same != title || sameInc != 0 {
+		t.Errorf("same-type view = %p with %d incompatible, want the raw entry %p with 0", same, sameInc, title)
+	}
+	if p.Len() != 3 {
+		t.Errorf("entries = %d, want 3 (the same-type view adds none)", p.Len())
+	}
 	// Incompatible values are dropped and counted.
 	_, bad, err := p.ColumnCoerced(db, "songs", "title", relational.Integer)
 	if err != nil {

@@ -859,38 +859,116 @@ func floatToIntSharded(table, column string, vec *relational.ColumnVector, worke
 	return cs, incompatible
 }
 
-// intToStringSharded renders the derived dictionary sequentially (code
-// assignment follows first occurrence in row order) and runs the sharded
-// string kernel over it.
+// intToStringSharded profiles an integer column viewed as strings
+// without rendering a row. Canonical decimal rendering is injective and
+// top-k ties already break by the rendered string, so the int column's
+// own runs (finishIntRuns) give the view's Distinct, Constancy, TopK and
+// TopKCoverage. The string statistics follow from the same runs: the
+// patterns are "9" and "-9" by sign, and the character histogram sums
+// each run's digit tally weighted by its count. Every string length is
+// a small integer, so the row path's float length sum is exact in any
+// order and the mean is the character total over the non-NULL count;
+// only the variance sum depends on order, and it runs over the rows.
 //
 //efes:hot
 func intToStringSharded(table, column string, vec *relational.ColumnVector, workers int) *ColumnStats {
 	ints, nulls := vec.Ints(), vec.Nulls()
-	nonNull := vec.Len() - vec.NullCount()
-	m := make(map[int64]int32)
-	strs := make([]string, 0, nonNull)
-	occ := make([]int, 0, nonNull)
-	codes := make([]int32, len(ints))
+	cs := newStats(table, column, relational.String, vec.Len(), vec.NullCount())
+	nonNull := cs.Rows - cs.Nulls
+	chunks := chunkCount(len(ints))
+	runs := make([]valueRuns[int64], chunks)
+	shardRun(chunks, workers, func(k int) {
+		lo, hi := chunkSpan(k, len(ints))
+		vals := make([]int64, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			if !nulls.Get(i) {
+				vals = append(vals, ints[i])
+			}
+		}
+		runs[k] = intRuns(vals)
+	})
+	finishIntRuns(cs, runs, nonNull)
+	if nonNull == 0 {
+		return cs
+	}
+	var t decimalTally
+	for _, r := range runs {
+		for j, v := range r.vals {
+			t.add(v, int(r.cnts[j]))
+		}
+	}
+	patterns := make(map[string]int, 2)
+	if n := nonNull - t.minus; n > 0 {
+		patterns["9"] = n
+	}
+	if t.minus > 0 {
+		patterns["-9"] = t.minus
+	}
+	cs.Patterns = sortedCounts(patterns)
+	totalChars := t.minus
+	for _, n := range t.digits {
+		totalChars += n
+	}
+	cs.CharHist = make(map[rune]float64, len(t.digits)+1)
+	if t.minus > 0 {
+		cs.CharHist['-'] = float64(t.minus) / float64(totalChars)
+	}
+	for d, n := range t.digits {
+		if n > 0 {
+			cs.CharHist[rune('0'+d)] = float64(n) / float64(totalChars)
+		}
+	}
+	mean := float64(totalChars) / float64(nonNull)
+	ss := 0.0
 	for i, x := range ints {
 		if nulls.Get(i) {
 			continue
 		}
-		c, seen := m[x]
-		if !seen {
-			c = int32(len(strs))
-			m[x] = c
-			strs = append(strs, strconv.FormatInt(x, 10))
-			occ = append(occ, 0)
-		}
-		occ[c]++
-		codes[i] = c
+		d := float64(decimalLen(x)) - mean
+		ss += d * d
 	}
-	cs := newStats(table, column, relational.String, vec.Len(), vec.NullCount())
-	stringKernelDictSharded(cs, strs, occ, codes, nulls, workers)
+	cs.StringLength = Dist{Mean: mean, StdDev: math.Sqrt(ss / float64(nonNull))}
 	return cs
 }
 
-// floatToStringSharded is intToStringSharded for float sources.
+// decimalTally counts the characters of canonical decimal renderings:
+// one count per digit and one per minus sign.
+type decimalTally struct {
+	digits [10]int
+	minus  int
+}
+
+// add tallies n renderings of v.
+func (t *decimalTally) add(v int64, n int) {
+	u := uint64(v)
+	if v < 0 {
+		t.minus += n
+		u = -u // two's complement: exact for MinInt64 too
+	}
+	for {
+		t.digits[u%10] += n
+		if u < 10 {
+			return
+		}
+		u /= 10
+	}
+}
+
+// decimalLen is the length of strconv.FormatInt(v, 10).
+func decimalLen(v int64) int {
+	u, n := uint64(v), 1
+	if v < 0 {
+		u, n = -u, 2
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+// floatToStringSharded renders the derived dictionary sequentially (code
+// assignment follows first occurrence in row order) and runs the sharded
+// string kernel over it.
 //
 //efes:hot
 func floatToStringSharded(table, column string, vec *relational.ColumnVector, workers int) *ColumnStats {

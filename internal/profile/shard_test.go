@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -161,4 +162,41 @@ func TestShardedAfterMutations(t *testing.T) {
 			statsEqual(t, ctx, want, FromVectorSharded("t", "c", vec, workers))
 		}
 	}
+}
+
+// FuzzIntToStringView compares the int→string view, which
+// intToStringSharded derives from sorted runs without rendering a row,
+// with the row path that renders every value. raw decodes to zigzag
+// varints up to the first malformed one, bit i of nullMask makes row i
+// NULL, and workers selects 1 to 8 workers. The seed corpus is in
+// testdata/fuzz/FuzzIntToStringView.
+func FuzzIntToStringView(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw, nullMask []byte, workers uint8) {
+		var values []relational.Value
+		for len(raw) > 0 {
+			x, n := binary.Varint(raw)
+			if n <= 0 {
+				break
+			}
+			raw = raw[n:]
+			if i := len(values); i/8 < len(nullMask) && nullMask[i/8]>>(i%8)&1 == 1 {
+				values = append(values, nil)
+			} else {
+				values = append(values, x)
+			}
+		}
+		s := relational.NewSchema("fuzz")
+		s.MustAddTable(relational.MustTable("t", relational.Column{Name: "c", Type: relational.Integer}))
+		db := relational.NewDatabase(s)
+		for _, v := range values {
+			db.MustInsert("t", v)
+		}
+		w := 1 + int(workers)%8
+		got, inc := FromVectorCoercedSharded("t", "c", db.Vector("t", "c"), relational.String, w)
+		if inc != 0 {
+			t.Errorf("incompatible = %d, want 0", inc)
+		}
+		want, _ := oracleCoerced("t", "c", relational.String, values)
+		statsEqual(t, "int->string/w"+strconv.Itoa(w), want, got)
+	})
 }

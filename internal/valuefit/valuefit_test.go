@@ -552,22 +552,23 @@ func TestProfilerCacheEliminatesRepeatedTargetProfiling(t *testing.T) {
 	if _, err := m.AssessComplexity(scn); err != nil {
 		t.Fatal(err)
 	}
-	// 3 pairs × (raw source + coerced source) = 6 misses, target = 1
-	// miss + 2 hits.
+	// 3 pairs × raw source = 3 misses, target = 1 miss + 2 hits. The
+	// source and target types agree, so each pair's coerced view is its
+	// raw source profile: 3 more hits.
 	hits, misses := m.Profiler.Counters()
-	if misses != 7 {
-		t.Errorf("misses = %d, want 7 (target profiled exactly once)", misses)
+	if misses != 4 {
+		t.Errorf("misses = %d, want 4 (target profiled exactly once)", misses)
 	}
-	if hits != 2 {
-		t.Errorf("hits = %d, want 2 (two correspondences reuse the target profile)", hits)
+	if hits != 5 {
+		t.Errorf("hits = %d, want 5 (two target reuses, three same-type views)", hits)
 	}
 	// A second assessment over the same scenario is served entirely from
 	// the cache.
 	if _, err := m.AssessComplexity(scn); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := m.Profiler.Counters(); misses != 7 {
-		t.Errorf("misses after re-run = %d, want still 7", misses)
+	if _, misses := m.Profiler.Counters(); misses != 4 {
+		t.Errorf("misses after re-run = %d, want still 4", misses)
 	}
 	if m.Profiler.HitRate() < 0.5 {
 		t.Errorf("hit rate = %v, want >= 0.5", m.Profiler.HitRate())
