@@ -75,10 +75,18 @@ bench:
 # kernels the same way: ProfileDatabaseLarge ran ~15 ms at BENCH_6 and
 # must not creep back toward the row-path regime — 75 ms applies the
 # same ~5x slow-hardware headroom — and the sharded variant must not
-# cost more than the single-worker pass it parallelizes.
+# cost more than the single-worker pass it parallelizes. The fourth
+# gates CSV ingest: LoadDirLarge ran 20–27 ms at -cpu 2 on a shared
+# 2-vCPU VM once ReadCSV split records in place and pushed fields as
+# bytes, against 29–35 ms through encoding/csv. 80 ms keeps ~3.5x
+# headroom for slow runners, as the other ceilings do: it catches a
+# gross regression of the load, and paired perfbench runs measure finer
+# ones. Its MB/s counts the CSV bytes loaded.
 bench-smoke:
 	go test -short -run '^$$' -bench . -benchtime 1x .
 	go run ./cmd/benchjson -bench '^BenchmarkFullEstimateLarge$$' -benchtime 3x \
 		-out '' -assert BenchmarkFullEstimateLarge=250ms
 	go run ./cmd/benchjson -bench '^BenchmarkProfileDatabaseLarge(Sharded)?$$' -benchtime 3x \
 		-out '' -assert 'BenchmarkProfileDatabaseLarge=75ms,BenchmarkProfileDatabaseLargeSharded=75ms'
+	go run ./cmd/benchjson -bench '^BenchmarkLoadDirLarge$$' -benchtime 3x \
+		-out '' -assert BenchmarkLoadDirLarge=80ms

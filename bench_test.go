@@ -11,6 +11,8 @@ package efes_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -512,15 +514,26 @@ func BenchmarkFullEstimateLarge(b *testing.B) {
 // BenchmarkLoadDirLarge reloads the large scenario's source and target
 // from the directories SaveDir wrote, as cmd/efes does: ParseSchemaText
 // plus LoadDir, whose ReadCSV decodes straight into the column vectors.
+// Throughput (MB/s) counts the CSV bytes loaded per op.
 func BenchmarkLoadDirLarge(b *testing.B) {
 	scn := largeExample()
 	dir := b.TempDir()
 	dbs := []*relational.Database{scn.Target, scn.Sources[0].DB}
+	var csvBytes int64
 	for i, db := range dbs {
-		if err := db.SaveDir(fmt.Sprintf("%s/%d", dir, i)); err != nil {
+		sub := fmt.Sprintf("%s/%d", dir, i)
+		if err := db.SaveDir(sub); err != nil {
 			b.Fatal(err)
 		}
+		for _, t := range db.Schema.Tables() {
+			fi, err := os.Stat(filepath.Join(sub, t.Name+".csv"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			csvBytes += fi.Size()
+		}
 	}
+	b.SetBytes(csvBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

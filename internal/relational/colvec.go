@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -408,45 +407,50 @@ func (v *ColumnVector) pushValue(val Value) {
 
 // pushField appends one CSV field to a vector under construction, parsed
 // with Coerce's string semantics: the empty field is NULL, a string is
-// interned (and copied only on its first occurrence, so the dictionary
-// never pins the reader's record buffer), and any other type parses into
-// its dense slice. It reports false, appending nothing, when the field
-// does not parse as the column's type.
+// interned (looked up without a copy, and copied only on its first
+// occurrence, so the dictionary never pins the reader's buffer), and any
+// other type parses into its dense slice — an integer spelled
+// -?[0-9]{1,18}, as WriteCSV spells nearly every int64, inline, any
+// other spelling through ParseInt. It reports false, appending nothing,
+// when the field does not parse as the column's type.
 //
 //efes:hot
-func (v *ColumnVector) pushField(field string) bool {
-	if field == "" {
+func (v *ColumnVector) pushField(field []byte) bool {
+	if len(field) == 0 {
 		v.pushNull()
 		return true
 	}
 	switch v.typ {
 	case String:
-		c, ok := v.lookup[field]
+		c, ok := v.lookup[string(field)]
 		if !ok {
-			c = v.addEntry(strings.Clone(field))
+			c = v.addEntry(string(field))
 		}
 		v.codes = append(v.codes, c)
 		v.counts[c]++
 	case Integer:
-		x, err := ParseInt(field)
-		if err != nil {
-			return false
+		x, ok := parseDecimal(field)
+		if !ok {
+			var err error
+			if x, err = ParseInt(string(field)); err != nil {
+				return false
+			}
 		}
 		v.ints = append(v.ints, x)
 	case Float:
-		x, err := ParseFloat(field)
+		x, err := ParseFloat(string(field))
 		if err != nil {
 			return false
 		}
 		v.floats = append(v.floats, x)
 	case Bool:
-		x, err := ParseBool(field)
+		x, err := ParseBool(string(field))
 		if err != nil {
 			return false
 		}
 		v.bools = append(v.bools, x)
 	case Time:
-		x, err := ParseTime(field)
+		x, err := ParseTime(string(field))
 		if err != nil {
 			return false
 		}
@@ -454,6 +458,59 @@ func (v *ColumnVector) pushField(field string) bool {
 	}
 	v.length++
 	return true
+}
+
+// parseDecimal parses b when it is spelled -?[0-9]{1,18}. Eighteen digits
+// cannot overflow an int64, and ParseInt reads every such spelling to
+// the same value; it reports false for any other spelling.
+func parseDecimal(b []byte) (int64, bool) {
+	neg := b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	if len(b) == 0 || len(b) > 18 {
+		return 0, false
+	}
+	var x int64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		x = x*10 + int64(c-'0')
+	}
+	if neg {
+		x = -x
+	}
+	return x, true
+}
+
+// reserve grows the typed slice of a vector under construction once, so
+// that n more rows append without a copy.
+func (v *ColumnVector) reserve(n int) {
+	switch v.typ {
+	case String:
+		v.codes = grow(v.codes, n)
+	case Integer:
+		v.ints = grow(v.ints, n)
+	case Float:
+		v.floats = grow(v.floats, n)
+	case Bool:
+		v.bools = grow(v.bools, n)
+	case Time:
+		v.times = grow(v.times, n)
+	}
+}
+
+// grow returns s with room for n more elements, in one allocation.
+// (slices.Grow allocates twice under the race detector, which disables
+// the compiler's append-of-make rewrite.)
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	g := make([]T, len(s), len(s)+n)
+	copy(g, s)
+	return g
 }
 
 // pushNull appends a NULL cell to a vector under construction.
@@ -466,8 +523,15 @@ func (v *ColumnVector) pushNull() {
 
 // seal stamps a vector built by pushValue/pushField exactly as appending
 // its rows one by one with appendValue would have: each chunk carries the
-// stamp of its last row, min((k+1)·ChunkSize, n), and the epoch is n.
+// stamp of its last row, min((k+1)·ChunkSize, n), and the epoch is n. A
+// typed slice left with more spare capacity than append's own growth
+// slack (a reserve that overshot) is copied down to its length.
 func (v *ColumnVector) seal() {
+	v.codes = clip(v.codes)
+	v.ints = clip(v.ints)
+	v.floats = clip(v.floats)
+	v.bools = clip(v.bools)
+	v.times = clip(v.times)
 	if n := v.Chunks(); n > 0 {
 		v.chunkStamps = make([]uint64, n)
 		for k := range v.chunkStamps {
@@ -476,6 +540,18 @@ func (v *ColumnVector) seal() {
 		}
 	}
 	v.stampEpoch = uint64(v.length)
+}
+
+// clip returns s, or a copy of it without spare capacity when its
+// capacity exceeds len + len/4.
+func clip[T any](s []T) []T {
+	if cap(s)-len(s) <= len(s)/4 {
+		return s
+	}
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // format renders the cell of row i exactly as FormatValue(v.Value(i))

@@ -50,26 +50,29 @@ func (db *Database) WriteCSV(table string, w io.Writer) error {
 
 // ReadCSV appends rows to an existing table from CSV produced by WriteCSV.
 // The header must match the table's columns; empty fields become NULL and
-// the remaining fields are parsed according to the column types.
+// the remaining fields are parsed according to the column types. The
+// input is read with encoding/csv's rules and errors (csvDecoder).
 //
 // Records decode straight into the table's column vectors — no Row is
-// built and no cell is boxed — and the table becomes column-first: its
-// rows are derived from the vectors on first row-API use. The vectors
-// are exactly those Vector would build from the equivalent inserted rows
-// (same dictionary order, counts, codes, nulls, and chunk stamps). The
-// load is atomic: records decode into staged vectors that are committed
-// only when the whole input parses, so a malformed line mid-file leaves
-// the table untouched. Parse errors name the 1-based input line and the
-// column.
+// built, no cell is boxed, and no field is copied except a string on its
+// first occurrence — and the table becomes column-first: its rows are
+// derived from the vectors on first row-API use. The vectors are exactly
+// those Vector would build from the equivalent inserted rows (same
+// dictionary order, counts, codes, nulls, and chunk stamps). When r
+// reports its size (a regular file, a strings.Reader or a bytes.Reader),
+// each typed slice is grown once to the row count estimated from the
+// first buffered block. The load is atomic: records decode into staged
+// vectors that are committed only when the whole input parses, so a
+// malformed line mid-file leaves the table untouched. Parse errors name
+// the 1-based input line and the column.
 func (db *Database) ReadCSV(table string, r io.Reader) error {
 	t := db.Schema.Table(table)
 	if t == nil {
 		return fmt.Errorf("relational: unknown table %s", table)
 	}
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(t.Columns)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	size := inputSize(r)
+	d := newCSVDecoder(r, len(t.Columns), csvBufferSize)
+	header, err := d.readRecord()
 	if err != nil {
 		return fmt.Errorf("relational: read csv for %s: %w", table, err)
 	}
@@ -77,8 +80,8 @@ func (db *Database) ReadCSV(table string, r io.Reader) error {
 		return fmt.Errorf("relational: csv header mismatch for %s: got %d columns, want %d", table, len(header), len(t.Columns))
 	}
 	for i, name := range header {
-		if name != t.Columns[i].Name {
-			return fmt.Errorf("relational: csv header mismatch for %s: got %q, want %q", table, name, t.Columns[i].Name)
+		if string(name) != t.Columns[i].Name {
+			return fmt.Errorf("relational: csv header mismatch for %s: got %q, want %q", table, string(name), t.Columns[i].Name)
 		}
 	}
 	// An append to a table that already holds data restages that data
@@ -86,7 +89,12 @@ func (db *Database) ReadCSV(table string, r io.Reader) error {
 	db.vecMu.Lock()
 	staged := db.restageLocked(t)
 	db.vecMu.Unlock()
-	if err := decodeCSV(cr, t, staged); err != nil {
+	if n := d.estimateRecords(size, len(t.Columns)); n > 0 {
+		for _, v := range staged {
+			v.reserve(n)
+		}
+	}
+	if err := decodeCSV(d, t, staged); err != nil {
 		return err
 	}
 	for _, v := range staged {
@@ -100,13 +108,13 @@ func (db *Database) ReadCSV(table string, r io.Reader) error {
 	return nil
 }
 
-// decodeCSV appends every remaining record of cr to the staged vectors
+// decodeCSV appends every remaining record of d to the staged vectors
 // of t, one field per column.
 //
 //efes:hot
-func decodeCSV(cr *csv.Reader, t *Table, staged []*ColumnVector) error {
+func decodeCSV(d *csvDecoder, t *Table, staged []*ColumnVector) error {
 	for {
-		record, err := cr.Read()
+		record, err := d.readRecord()
 		if err == io.EOF {
 			return nil
 		}
@@ -116,18 +124,18 @@ func decodeCSV(cr *csv.Reader, t *Table, staged []*ColumnVector) error {
 		}
 		for i, field := range record {
 			if !staged[i].pushField(field) {
-				return fieldError(cr, t, i, field)
+				return fieldError(d, t, i, field)
 			}
 		}
 	}
 }
 
 // fieldError reports a field that does not parse as its column's type,
-// with Coerce's wording, the 1-based input line and the column name.
-func fieldError(cr *csv.Reader, t *Table, i int, field string) error {
-	_, cerr := Coerce(t.Columns[i].Type, field)
-	line, _ := cr.FieldPos(i)
-	return fmt.Errorf("relational: csv for %s: line %d, column %s: %w", t.Name, line, t.Columns[i].Name, cerr)
+// with Coerce's wording, the 1-based line the field starts on and the
+// column name.
+func fieldError(d *csvDecoder, t *Table, i int, field []byte) error {
+	_, cerr := Coerce(t.Columns[i].Type, string(field))
+	return fmt.Errorf("relational: csv for %s: line %d, column %s: %w", t.Name, d.fieldLine(i), t.Columns[i].Name, cerr)
 }
 
 // SaveDir writes the whole database to a directory: schema.txt describing
