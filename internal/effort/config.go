@@ -2,6 +2,7 @@ package effort
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -127,8 +128,9 @@ func (c Config) WriteJSON(w io.Writer) error {
 	return enc.Encode(c)
 }
 
-// LoadConfig parses a JSON config. Unknown fields are an error to catch
-// typos in hand-edited files.
+// LoadConfig parses a JSON config. Unknown fields and anything after the
+// config object are errors, to catch typos and truncated edits in
+// hand-edited files.
 func LoadConfig(r io.Reader) (Config, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -136,15 +138,31 @@ func LoadConfig(r io.Reader) (Config, error) {
 	if err := dec.Decode(&c); err != nil {
 		return Config{}, fmt.Errorf("effort: parse config: %w", err)
 	}
+	switch _, err := dec.Token(); {
+	case err == nil:
+		return Config{}, errors.New("effort: parse config: data after the config object")
+	case err != io.EOF:
+		return Config{}, fmt.Errorf("effort: parse config after the config object: %w", err)
+	}
 	if c.Functions == nil {
 		return Config{}, fmt.Errorf("effort: config declares no effort functions")
 	}
 	// Validate in sorted task-type order so that a config with several
-	// problems always reports the same one first.
+	// problems always reports the same one first. Every branch but the
+	// deepest has a below branch, so only the deepest can lack the below
+	// branch its switchParam needs.
 	for _, tt := range c.TaskTypes() {
-		if spec := c.Functions[tt]; spec.SwitchParam != "" && spec.Below == nil {
+		spec, depth := c.Functions[tt], 0
+		for spec.Below != nil {
+			spec, depth = *spec.Below, depth+1
+		}
+		if spec.SwitchParam == "" {
+			continue
+		}
+		if depth == 0 {
 			return Config{}, fmt.Errorf("effort: config for %q has switchParam but no below branch", tt)
 		}
+		return Config{}, fmt.Errorf("effort: config for %q has switchParam but no below branch at below depth %d", tt, depth)
 	}
 	return c, nil
 }

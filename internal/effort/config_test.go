@@ -2,8 +2,12 @@ package effort
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"math"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestDefaultConfigMatchesTable9(t *testing.T) {
@@ -72,6 +76,8 @@ func TestLoadConfigErrors(t *testing.T) {
 		`{"settings":{},"functions":{"X":{"switchParam":"n"}}}`, // switch without below
 		`{"settings":{},"bogusField":1,"functions":{"X":{}}}`,   // unknown field
 		`{"settings":{}}`, // no functions
+		`{"settings":{},"functions":{"X":{"switchParam":"n","below":{"switchParam":"m"}}}}`, // nested switch without below
+		`{"functions":{"X":{}}} {"garbage":`,                                                // trailing data
 	}
 	for _, text := range bad {
 		if _, err := LoadConfig(strings.NewReader(text)); err == nil {
@@ -131,4 +137,72 @@ func TestConfigMappingToolOverride(t *testing.T) {
 	if got := est.Total(); got != 2 {
 		t.Errorf("mapping-tool override lost in config path: %v", got)
 	}
+}
+
+// TestLoadConfigReadErrorAfterObject: a read error after a complete
+// config object is returned wrapped, not reported as trailing data.
+func TestLoadConfigReadErrorAfterObject(t *testing.T) {
+	boom := errors.New("disk gone")
+	r := io.MultiReader(strings.NewReader(`{"functions":{"X":{}}}`), iotest.ErrReader(boom))
+	_, err := LoadConfig(r)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want it to wrap %v", err, boom)
+	}
+	if strings.Contains(err.Error(), "data after") {
+		t.Errorf("read error reported as trailing data: %v", err)
+	}
+}
+
+// fuzzTasks is the fixed task list FuzzLoadConfig prices: Table 9 types
+// with parameters on both sides of Convert values' switch, a type no
+// default covers, and one whose parameter names a seed config switches on.
+var fuzzTasks = []Task{
+	{Type: TaskMergeValues, Repetitions: 503},
+	{Type: TaskConvertValues, Repetitions: 1, Params: map[string]float64{"dist-vals": 100}},
+	{Type: TaskConvertValues, Repetitions: 1, Params: map[string]float64{"dist-vals": 260923}},
+	{Type: TaskRejectTuples, Repetitions: 3},
+	{Type: TaskWriteMapping, Repetitions: 1, Params: map[string]float64{"tables": 3, "attributes": 2, "PKs": 1, "FKs": 1}},
+	{Type: "X", Repetitions: 2, Params: map[string]float64{"n": 5, "m": 1}},
+	{Type: "Custom audit", Repetitions: 4, Params: map[string]float64{"columns": 6}},
+}
+
+// FuzzLoadConfig feeds LoadConfig arbitrary bytes. It must never panic,
+// and a config it accepts must load again from its own WriteJSON output
+// and price every task of fuzzTasks identically at both qualities. The
+// seed corpus is in testdata/fuzz/FuzzLoadConfig.
+func FuzzLoadConfig(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := LoadConfig(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := c.WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON of an accepted config: %v", err)
+		}
+		again, err := LoadConfig(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("LoadConfig rejects WriteJSON's output: %v\n%s", err, buf.Bytes())
+		}
+		calc, calcAgain := c.Calculator(), again.Calculator()
+		for _, q := range []Quality{LowEffort, HighQuality} {
+			for _, task := range fuzzTasks {
+				want, wantErr := calc.Price(q, []Task{task})
+				got, gotErr := calcAgain.Price(q, []Task{task})
+				if (wantErr == nil) != (gotErr == nil) {
+					t.Fatalf("%s: error %v before the round trip, %v after", task.Type, wantErr, gotErr)
+				}
+				if wantErr != nil {
+					continue
+				}
+				// WriteJSON omits zero fields, negative zero too, so a
+				// -0 loads again as +0. That can flip only the sign of a
+				// zero result, and == treats the two zeros as equal.
+				w, g := want.Total(), got.Total()
+				if w != g && !(math.IsNaN(w) && math.IsNaN(g)) {
+					t.Fatalf("%s: priced %v before the round trip, %v after", task.Type, w, g)
+				}
+			}
+		}
+	})
 }

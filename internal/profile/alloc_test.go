@@ -50,3 +50,36 @@ func TestCoercedFromStringAllocBound(t *testing.T) {
 			rows, distinct, allocs, limit)
 	}
 }
+
+// TestStringKernelAllocBound is the hotalloc regression for the sharded
+// string kernel: profiling 20,000 distinct strings of 3 patterns must
+// allocate a constant plus a few times per pattern, not once per
+// dictionary entry, which is what building each entry's Pattern string
+// would cost.
+func TestStringKernelAllocBound(t *testing.T) {
+	const distinct, patterns = 20000, 3
+	s := relational.NewSchema("alloc")
+	s.MustAddTable(relational.MustTable("t", relational.Column{Name: "c", Type: relational.String}))
+	db := relational.NewDatabase(s)
+	for i := 0; i < distinct; i++ {
+		switch i % patterns {
+		case 0:
+			db.MustInsert("t", fmt.Sprintf("Track %d", i)) // "a 9"
+		case 1:
+			db.MustInsert("t", fmt.Sprintf("%d:%02d", i/60, i%60)) // "9:9"
+		default:
+			db.MustInsert("t", fmt.Sprintf("side-%d", i)) // "a-9"
+		}
+	}
+	vec := db.Vector("t", "c")
+	if got := FromVectorSharded("t", "c", vec, 1); len(got.Patterns) != patterns || got.Distinct != distinct {
+		t.Fatalf("%d patterns, %d distinct; want %d, %d", len(got.Patterns), got.Distinct, patterns, distinct)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		FromVectorSharded("t", "c", vec, 1)
+	})
+	if limit := float64(64 + 8*patterns); allocs > limit {
+		t.Errorf("FromVectorSharded(string, %d distinct, %d patterns): %v allocs/op, want ≤ %v",
+			distinct, patterns, allocs, limit)
+	}
+}

@@ -695,8 +695,10 @@ func finishTopK(cs *ColumnStats, tk *topK, nonNull int) {
 // (count -> number of distinct values with that count). The seed sums
 // -p*log2(p) over entries sorted (count desc, value asc); equal counts
 // yield identical addends, so walking the count groups in descending
-// order reproduces the identical float sequence. The inner loop re-reads
-// the seed's expression verbatim so no term is pre-rounded differently.
+// order reproduces the identical float sequence. The logarithm is taken
+// once per group, and the subtraction keeps the seed's operands and
+// their order, so each term is rounded (or fused) exactly as the seed's
+// h -= p * math.Log2(p).
 //
 //efes:hot
 func constancyFromMult(mult map[int]int, distinct, nonNull int) float64 {
@@ -711,8 +713,9 @@ func constancyFromMult(mult map[int]int, distinct, nonNull int) float64 {
 	h := 0.0
 	for _, c := range counts {
 		p := float64(c) / float64(nonNull)
+		l := math.Log2(p)
 		for k := 0; k < mult[c]; k++ {
-			h -= p * math.Log2(p)
+			h -= p * l
 		}
 	}
 	hmax := math.Log2(float64(nonNull))

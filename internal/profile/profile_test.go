@@ -2,8 +2,10 @@ package profile
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 
 	"efes/internal/relational"
 )
@@ -34,6 +36,49 @@ func TestPattern(t *testing.T) {
 			t.Errorf("Pattern(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
+}
+
+// referencePattern is Pattern as first written: unicode classification
+// of every rune, built with a strings.Builder. FuzzPattern holds Pattern
+// and its reusable-buffer form, appendPattern, to it.
+func referencePattern(s string) string {
+	var b strings.Builder
+	var last rune
+	for _, r := range s {
+		var c rune
+		switch {
+		case unicode.IsDigit(r):
+			c = '9'
+		case unicode.IsLetter(r):
+			c = 'a'
+		case unicode.IsSpace(r):
+			c = ' '
+		default:
+			c = r
+		}
+		if (c == '9' || c == 'a' || c == ' ') && c == last {
+			continue
+		}
+		b.WriteRune(c)
+		last = c
+	}
+	return b.String()
+}
+
+// FuzzPattern compares Pattern with referencePattern on arbitrary
+// strings, invalid UTF-8 included, and checks that appendPattern appends
+// the same bytes after a prefix. The seed corpus is in
+// testdata/fuzz/FuzzPattern.
+func FuzzPattern(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		want := referencePattern(s)
+		if got := Pattern(s); got != want {
+			t.Fatalf("Pattern(%q) = %q, want %q", s, got, want)
+		}
+		if got := appendPattern([]byte("x"), s); string(got) != "x"+want {
+			t.Fatalf("appendPattern(\"x\", %q) = %q, want %q", s, got, "x"+want)
+		}
+	})
 }
 
 func TestFillAndNulls(t *testing.T) {

@@ -233,9 +233,10 @@ func (p *Profiler) Workers() int { return p.workers }
 // their context is cancelled. Errors — context cancellation, injected
 // faults, and compute failures alike — are returned to the caller and
 // never memoized: a failed computation removes its entry, so a transient
-// failure does not poison the cache for later callers. A waiter that
-// piggybacked on a computation that failed retries from the top (the
-// failing goroutine got the error; the waiter may well succeed).
+// failure does not poison the cache for later callers; a computation
+// that panics removes its entry too. A waiter that piggybacked on a
+// computation that failed retries from the top (the failing goroutine
+// got the error; the waiter may well succeed).
 func (p *Profiler) get(ctx context.Context, key profileKey, compute func() (*ColumnStats, int, error)) (*ColumnStats, int, error) {
 	if err := faultinject.Fire("profile:column"); err != nil {
 		return nil, 0, err
@@ -263,46 +264,64 @@ func (p *Profiler) get(ctx context.Context, key profileKey, compute func() (*Col
 		p.entries[key] = e
 		p.mu.Unlock()
 		p.misses.Add(1)
-		// Durable read-through: a memo miss may still be a disk hit —
-		// some earlier process profiled the same bytes. Only on a disk
-		// miss is the profile actually computed, and only successful
-		// computations are written back (errors are never persisted).
-		var dkey string
-		if p.store != nil {
-			var keyOK bool
-			if dkey, keyOK = diskKey(key); keyOK {
-				if stats, incompatible, ok := p.loadStored(key, dkey); ok {
-					p.diskHits.Add(1)
-					e.stats, e.incompatible, e.ok = stats, incompatible, true
-					close(e.ready)
-					return stats, incompatible, nil
-				}
-			} else {
-				dkey = ""
-			}
-		}
-		stats, incompatible, err := compute()
-		if err != nil {
-			p.mu.Lock()
-			if p.entries[key] == e { // not already dropped by Forget and replaced
-				delete(p.entries, key)
-			}
-			p.mu.Unlock()
-			close(e.ready) // wake waiters; e.ok stays false and they retry
-			return nil, 0, err
-		}
-		p.computes.Add(1)
-		if p.store != nil && dkey != "" {
-			// Best-effort write-back; NaN/Inf statistics are not
-			// JSON-encodable and simply stay memory-only.
-			if data, merr := json.Marshal(statsEnvelope{Stats: stats, Incompatible: incompatible}); merr == nil {
-				p.store.Put(dkey, data)
-			}
-		}
-		e.stats, e.incompatible, e.ok = stats, incompatible, true
-		close(e.ready)
-		return stats, incompatible, nil
+		return p.fill(key, e, compute)
 	}
+}
+
+// fill completes e, the new in-flight entry for key. A failure — an
+// error, or a panic in compute — drops the entry and wakes its waiters,
+// which retry; a panic then continues up the caller's stack, so no entry
+// is left that never becomes ready.
+func (p *Profiler) fill(key profileKey, e *profileEntry, compute func() (*ColumnStats, int, error)) (*ColumnStats, int, error) {
+	defer func() {
+		if !e.ok {
+			p.abandon(key, e)
+		}
+	}()
+	// Durable read-through: a memo miss may still be a disk hit —
+	// some earlier process profiled the same bytes. Only on a disk
+	// miss is the profile actually computed, and only successful
+	// computations are written back (errors are never persisted).
+	var dkey string
+	if p.store != nil {
+		var keyOK bool
+		if dkey, keyOK = diskKey(key); keyOK {
+			if stats, incompatible, ok := p.loadStored(key, dkey); ok {
+				p.diskHits.Add(1)
+				e.stats, e.incompatible, e.ok = stats, incompatible, true
+				close(e.ready)
+				return stats, incompatible, nil
+			}
+		} else {
+			dkey = ""
+		}
+	}
+	stats, incompatible, err := compute()
+	if err != nil {
+		return nil, 0, err
+	}
+	p.computes.Add(1)
+	if p.store != nil && dkey != "" {
+		// Best-effort write-back; NaN/Inf statistics are not
+		// JSON-encodable and simply stay memory-only.
+		if data, merr := json.Marshal(statsEnvelope{Stats: stats, Incompatible: incompatible}); merr == nil {
+			p.store.Put(dkey, data)
+		}
+	}
+	e.stats, e.incompatible, e.ok = stats, incompatible, true
+	close(e.ready)
+	return stats, incompatible, nil
+}
+
+// abandon removes e, the failed in-flight entry for key, and wakes its
+// waiters; e.ok stays false, so they retry.
+func (p *Profiler) abandon(key profileKey, e *profileEntry) {
+	p.mu.Lock()
+	if p.entries[key] == e { // not already dropped by Forget and replaced
+		delete(p.entries, key)
+	}
+	p.mu.Unlock()
+	close(e.ready)
 }
 
 // Column returns the memoized profile of a column under its declared type
@@ -372,7 +391,10 @@ func (p *Profiler) ColumnCoercedContext(ctx context.Context, db *relational.Data
 // ColumnCoercedContextMode is ColumnCoercedContext with a per-request
 // mode override. Viewing a column through its declared type changes no
 // value, so that view is the raw profile: the same memo entry and disk
-// key as ColumnContextMode, with no incompatible values.
+// key as ColumnContextMode, with no incompatible values. An exact view
+// of an integer column as strings is derived from the column's raw
+// profile, which it looks up (memo, store, or compute) like
+// ColumnContextMode; an error from that lookup fails the view.
 func (p *Profiler) ColumnCoercedContextMode(ctx context.Context, db *relational.Database, table, column string, typ relational.Type, mode Mode) (*ColumnStats, int, error) {
 	if t := db.Schema.Table(table); t != nil {
 		if col, ok := t.Column(column); ok && col.Type == typ {
@@ -386,6 +408,16 @@ func (p *Profiler) ColumnCoercedContextMode(ctx context.Context, db *relational.
 			if mode == ModeApprox {
 				cs, incompatible := FromVectorCoercedApprox(table, column, vec, typ, p.workers)
 				return cs, incompatible, nil
+			}
+			if vec.Type() == relational.Integer && typ == relational.String {
+				// The view shares most statistics with the raw profile,
+				// which a value-fit check has always requested first: a
+				// memo hit, or a disk hit in a warm process.
+				raw, err := p.ColumnContextMode(ctx, db, table, column, mode)
+				if err != nil {
+					return nil, 0, err
+				}
+				return intStringView(table, column, vec, raw), 0, nil
 			}
 			cs, incompatible := FromVectorCoercedSharded(table, column, vec, typ, p.workers)
 			return cs, incompatible, nil

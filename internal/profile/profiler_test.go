@@ -1,10 +1,13 @@
 package profile
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
+	"time"
 
+	"efes/internal/faultinject"
 	"efes/internal/relational"
 )
 
@@ -162,12 +165,87 @@ func TestProfilerConcurrentSharing(t *testing.T) {
 			t.Fatal("goroutines observed different profile instances")
 		}
 	}
-	if _, misses := p.Counters(); misses != 2 {
-		t.Errorf("misses = %d, want 2 (one per distinct key)", misses)
+	// Three distinct keys: the title, the length viewed as a string, and
+	// the raw length profile that view is derived from.
+	if _, misses := p.Counters(); misses != 3 {
+		t.Errorf("misses = %d, want 3 (one per distinct key)", misses)
+	}
+	if _, computes := p.DiskCounters(); computes != 3 {
+		t.Errorf("computes = %d, want 3 (each key computed once)", computes)
 	}
 	if p.HitRate() < 0.9 {
 		t.Errorf("hit rate = %v, want > 0.9 under contention", p.HitRate())
 	}
+}
+
+// TestProfilerStringViewReusesRawProfile: an integer column viewed as
+// strings is derived from the column's raw profile. Requested after the
+// raw profile, the view's raw lookup is a memo hit and only the view is
+// computed; over a store that holds only the raw profile, the raw profile
+// is a disk hit and only the view is computed.
+func TestProfilerStringViewReusesRawProfile(t *testing.T) {
+	db := profilerDB(t)
+	want, _ := oracleCoerced("songs", "length", relational.String, db.MustColumn("songs", "length"))
+
+	p := NewProfiler(1)
+	if _, err := p.Column(db, "songs", "length"); err != nil {
+		t.Fatal(err)
+	}
+	view, _, err := p.ColumnCoerced(db, "songs", "length", relational.String)
+	if err != nil {
+		t.Fatal(err)
+	}
+	statsEqual(t, "raw first", want, view)
+	if hits, misses := p.Counters(); hits != 1 || misses != 2 {
+		t.Errorf("counters = %d hits / %d misses, want 1/2 (the view's raw lookup is a hit)", hits, misses)
+	}
+	if _, computes := p.DiskCounters(); computes != 2 {
+		t.Errorf("computes = %d, want 2 (the raw profile, then the view)", computes)
+	}
+
+	store := newMemStore()
+	if _, err := NewProfiler(1).SetStore(store).Column(db, "songs", "length"); err != nil {
+		t.Fatal(err)
+	}
+	warm := NewProfiler(1).SetStore(store)
+	view, _, err = warm.ColumnCoerced(db, "songs", "length", relational.String)
+	if err != nil {
+		t.Fatal(err)
+	}
+	statsEqual(t, "raw from store", want, view)
+	if diskHits, computes := warm.DiskCounters(); diskHits != 1 || computes != 1 {
+		t.Errorf("disk counters = %d disk hits / %d computes, want 1/1 (the raw profile is not recomputed)", diskHits, computes)
+	}
+	if store.len() != 2 {
+		t.Errorf("store entries = %d, want 2 (the raw profile and the view)", store.len())
+	}
+}
+
+// TestFaultProfilerPanicInViewLeavesNoEntry: a panic while an int→string
+// view looks up its raw profile (the second profile:column fire) must not
+// strand the view's in-flight entry. A retry then computes the view
+// instead of waiting on an entry that never becomes ready.
+func TestFaultProfilerPanicInViewLeavesNoEntry(t *testing.T) {
+	defer faultinject.Reset()
+	db := profilerDB(t)
+	p := NewProfiler(1)
+	faultinject.Enable("profile:column", faultinject.Fault{Kind: faultinject.Panic, OnCall: 2})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("want the injected panic")
+			}
+		}()
+		_, _, _ = p.ColumnCoerced(db, "songs", "length", relational.String)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	view, _, err := p.ColumnCoercedContext(ctx, db, "songs", "length", relational.String)
+	if err != nil {
+		t.Fatalf("retry after the panic: %v", err)
+	}
+	want, _ := oracleCoerced("songs", "length", relational.String, db.MustColumn("songs", "length"))
+	statsEqual(t, "retry", want, view)
 }
 
 func TestProfilerReset(t *testing.T) {

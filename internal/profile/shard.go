@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"efes/internal/relational"
 )
@@ -125,7 +126,7 @@ func FromVectorCoercedSharded(table, column string, vec *relational.ColumnVector
 		case relational.Float:
 			return intToFloatSharded(table, column, vec, workers), 0
 		case relational.String:
-			return intToStringSharded(table, column, vec, workers), 0
+			return intStringView(table, column, vec, intCountStats(vec, workers)), 0
 		}
 	case relational.Float:
 		switch typ {
@@ -475,9 +476,14 @@ func timeKernelSharded(cs *ColumnStats, times []time.Time, nulls *relational.Bit
 }
 
 // stringPartial is one dictionary shard's contribution to the fused
-// string kernel.
+// string kernel. Runes below utf8.RuneSelf are tallied in an array and
+// the rest in a map, and patterns are counted through an index into
+// pats, so a shard allocates once per distinct pattern rather than once
+// per dictionary entry.
 type stringPartial struct {
-	patterns   map[string]int
+	patIdx     map[string]int
+	pats       []ValueCount
+	ascii      [utf8.RuneSelf]int
 	charCounts map[rune]int
 	totalChars int
 	mult       map[int]int
@@ -499,12 +505,12 @@ func stringKernelDictSharded(cs *ColumnStats, strs []string, occ []int, codes []
 	parts := make([]stringPartial, chunks)
 	shardRun(chunks, workers, func(k int) {
 		lo, hi := chunkSpan(k, len(strs))
-		p := stringPartial{
-			patterns:   make(map[string]int),
-			charCounts: make(map[rune]int),
-			mult:       make(map[int]int),
-			tk:         newTopK(),
-		}
+		p := &parts[k]
+		p.patIdx = make(map[string]int)
+		p.charCounts = make(map[rune]int)
+		p.mult = make(map[int]int)
+		p.tk = newTopK()
+		var buf []byte
 		for c := lo; c < hi; c++ {
 			n := occ[c]
 			if n == 0 {
@@ -513,27 +519,46 @@ func stringKernelDictSharded(cs *ColumnStats, strs []string, occ []int, codes []
 			p.distinct++
 			p.mult[n]++
 			p.tk.considerString(n, strs[c])
-			p.patterns[Pattern(strs[c])] += n
+			buf = appendPattern(buf[:0], strs[c])
+			//lint:ignore hotalloc a map index with a converted []byte key does not allocate
+			i, seen := p.patIdx[string(buf)]
+			if !seen {
+				//lint:ignore hotalloc one string per distinct pattern: the key outlives the reused buffer
+				pat := string(buf)
+				i = len(p.pats)
+				p.patIdx[pat] = i
+				//lint:ignore hotalloc grows to the shard's distinct pattern count, amortized
+				p.pats = append(p.pats, ValueCount{Value: pat})
+			}
+			p.pats[i].Count += n
 			rl := 0
 			for _, r := range strs[c] {
-				p.charCounts[r] += n
-				p.totalChars += n
+				if r < utf8.RuneSelf {
+					p.ascii[r] += n
+				} else {
+					p.charCounts[r] += n
+				}
 				rl++
 			}
+			p.totalChars += n * rl
 			runeLens[c] = float64(rl)
 		}
-		parts[k] = p
 	})
 	patterns := make(map[string]int)
+	var ascii [utf8.RuneSelf]int
 	charCounts := make(map[rune]int)
 	mult := make(map[int]int)
 	totalChars, distinct := 0, 0
 	tk := newTopK()
-	for _, p := range parts {
+	for k := range parts {
+		p := &parts[k]
 		distinct += p.distinct
 		totalChars += p.totalChars
-		for s, n := range p.patterns {
-			patterns[s] += n
+		for _, pc := range p.pats {
+			patterns[pc.Value] += pc.Count
+		}
+		for r, n := range p.ascii {
+			ascii[r] += n
 		}
 		for r, n := range p.charCounts {
 			charCounts[r] += n
@@ -549,7 +574,20 @@ func stringKernelDictSharded(cs *ColumnStats, strs []string, occ []int, codes []
 	cs.Constancy = constancyFromMult(mult, distinct, nonNull)
 	cs.Patterns = sortedCounts(patterns)
 	if totalChars > 0 {
-		cs.CharHist = make(map[rune]float64, len(charCounts))
+		// Hint the exact distinct rune count: the memo keeps every
+		// profile, so an oversized map would stay allocated.
+		runes := len(charCounts)
+		for _, n := range ascii {
+			if n > 0 {
+				runes++
+			}
+		}
+		cs.CharHist = make(map[rune]float64, runes)
+		for r, n := range ascii {
+			if n > 0 {
+				cs.CharHist[rune(r)] = float64(n) / float64(totalChars)
+			}
+		}
 		for r, n := range charCounts {
 			cs.CharHist[r] = float64(n) / float64(totalChars)
 		}
@@ -859,22 +897,13 @@ func floatToIntSharded(table, column string, vec *relational.ColumnVector, worke
 	return cs, incompatible
 }
 
-// intToStringSharded profiles an integer column viewed as strings
-// without rendering a row. Canonical decimal rendering is injective and
-// top-k ties already break by the rendered string, so the int column's
-// own runs (finishIntRuns) give the view's Distinct, Constancy, TopK and
-// TopKCoverage. The string statistics follow from the same runs: the
-// patterns are "9" and "-9" by sign, and the character histogram sums
-// each run's digit tally weighted by its count. Every string length is
-// a small integer, so the row path's float length sum is exact in any
-// order and the mean is the character total over the non-NULL count;
-// only the variance sum depends on order, and it runs over the rows.
+// intCountStats returns the count statistics of an integer column —
+// Distinct, Constancy, TopK and TopKCoverage, the part of its raw profile
+// intStringView reads — for callers that have no raw profile at hand.
 //
 //efes:hot
-func intToStringSharded(table, column string, vec *relational.ColumnVector, workers int) *ColumnStats {
+func intCountStats(vec *relational.ColumnVector, workers int) *ColumnStats {
 	ints, nulls := vec.Ints(), vec.Nulls()
-	cs := newStats(table, column, relational.String, vec.Len(), vec.NullCount())
-	nonNull := cs.Rows - cs.Nulls
 	chunks := chunkCount(len(ints))
 	runs := make([]valueRuns[int64], chunks)
 	shardRun(chunks, workers, func(k int) {
@@ -887,14 +916,36 @@ func intToStringSharded(table, column string, vec *relational.ColumnVector, work
 		}
 		runs[k] = intRuns(vals)
 	})
-	finishIntRuns(cs, runs, nonNull)
+	cs := new(ColumnStats)
+	finishIntRuns(cs, runs, vec.Len()-vec.NullCount())
+	return cs
+}
+
+// intStringView profiles an integer column viewed as strings, given raw,
+// the column's own profile. Canonical decimal rendering is injective and
+// top-k ties already break by the rendered string, so raw's Distinct,
+// Constancy, TopK and TopKCoverage are the view's. The string statistics
+// take one pass over the rows: the patterns are "9" and "-9" by sign,
+// and the character histogram is the digit and minus-sign tally. Every
+// string length is a small integer, so the row path's float length sum
+// is exact in any order and the mean is the character total over the
+// non-NULL count; only the variance sum depends on order, and a second
+// pass runs it over the rows.
+//
+//efes:hot
+func intStringView(table, column string, vec *relational.ColumnVector, raw *ColumnStats) *ColumnStats {
+	ints, nulls := vec.Ints(), vec.Nulls()
+	cs := newStats(table, column, relational.String, vec.Len(), vec.NullCount())
+	cs.Distinct, cs.Constancy, cs.TopKCoverage = raw.Distinct, raw.Constancy, raw.TopKCoverage
+	cs.TopK = slices.Clone(raw.TopK)
+	nonNull := cs.Rows - cs.Nulls
 	if nonNull == 0 {
 		return cs
 	}
 	var t decimalTally
-	for _, r := range runs {
-		for j, v := range r.vals {
-			t.add(v, int(r.cnts[j]))
+	for i, x := range ints {
+		if !nulls.Get(i) {
+			t.add(x, 1)
 		}
 	}
 	patterns := make(map[string]int, 2)

@@ -70,7 +70,7 @@ func TestShardedMultiChunk(t *testing.T) {
 		case relational.String:
 			dst = relational.Integer // coercedFromStringSharded
 		case relational.Integer:
-			dst = relational.String // intToStringSharded + sharded string kernel
+			dst = relational.String // intStringView over intCountStats
 		case relational.Float:
 			dst = relational.Integer // floatToIntSharded
 		case relational.Bool:
@@ -164,12 +164,13 @@ func TestShardedAfterMutations(t *testing.T) {
 	}
 }
 
-// FuzzIntToStringView compares the int→string view, which
-// intToStringSharded derives from sorted runs without rendering a row,
-// with the row path that renders every value. raw decodes to zigzag
-// varints up to the first malformed one, bit i of nullMask makes row i
-// NULL, and workers selects 1 to 8 workers. The seed corpus is in
-// testdata/fuzz/FuzzIntToStringView.
+// FuzzIntToStringView compares the int→string view, which intStringView
+// derives from the column's raw profile and one pass over the rows, with
+// the row path that renders every value. Besides FromVectorCoercedSharded
+// it runs the view through the three ways a Profiler can serve it (see
+// profilerStringViews). raw decodes to zigzag varints up to the first
+// malformed one, bit i of nullMask makes row i NULL, and workers selects
+// 1 to 8 workers. The seed corpus is in testdata/fuzz/FuzzIntToStringView.
 func FuzzIntToStringView(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw, nullMask []byte, workers uint8) {
 		var values []relational.Value
@@ -197,6 +198,57 @@ func FuzzIntToStringView(f *testing.F) {
 			t.Errorf("incompatible = %d, want 0", inc)
 		}
 		want, _ := oracleCoerced("t", "c", relational.String, values)
-		statsEqual(t, "int->string/w"+strconv.Itoa(w), want, got)
+		ctx := "int->string/w" + strconv.Itoa(w)
+		statsEqual(t, ctx, want, got)
+		for _, v := range profilerStringViews(t, db, "t", "c", w) {
+			statsEqual(t, ctx+"/"+v.Path, want, v.Stats)
+		}
 	})
+}
+
+// profiledView is one Profiler's int→string view, named by how the
+// Profiler came by the raw profile the view is derived from.
+type profiledView struct {
+	Path  string
+	Stats *ColumnStats
+}
+
+// profilerStringViews returns table.column viewed as strings by three
+// Profilers of workers workers: one asked for the view first, so the raw
+// profile is computed inside the view's lookup; one asked for the raw
+// profile first; and one whose store holds only the raw profile's JSON,
+// so the raw profile arrives through a JSON round trip. It fails t if a
+// lookup errors, reports incompatible values, or the store path
+// recomputes the raw profile.
+func profilerStringViews(t *testing.T, db *relational.Database, table, column string, workers int) []profiledView {
+	t.Helper()
+	view := func(p *Profiler) *ColumnStats {
+		t.Helper()
+		cs, inc, err := p.ColumnCoerced(db, table, column, relational.String)
+		if err != nil {
+			t.Fatalf("ColumnCoerced: %v", err)
+		}
+		if inc != 0 {
+			t.Errorf("ColumnCoerced: incompatible = %d, want 0", inc)
+		}
+		return cs
+	}
+	viewFirst := view(NewProfiler(workers))
+
+	p := NewProfiler(workers)
+	if _, err := p.Column(db, table, column); err != nil {
+		t.Fatalf("Column: %v", err)
+	}
+	rawFirst := view(p)
+
+	store := newMemStore()
+	if _, err := NewProfiler(workers).SetStore(store).Column(db, table, column); err != nil {
+		t.Fatalf("Column: %v", err)
+	}
+	warm := NewProfiler(workers).SetStore(store)
+	fromStore := view(warm)
+	if diskHits, computes := warm.DiskCounters(); diskHits != 1 || computes != 1 {
+		t.Errorf("store path: %d disk hits, %d computes; want 1 (the raw profile) and 1 (the view)", diskHits, computes)
+	}
+	return []profiledView{{"view-first", viewFirst}, {"raw-first", rawFirst}, {"raw-from-store", fromStore}}
 }

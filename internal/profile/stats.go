@@ -9,8 +9,8 @@ package profile
 import (
 	"math"
 	"sort"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"efes/internal/relational"
 )
@@ -312,8 +312,13 @@ func histogramOf(xs []float64, lo, hi float64) Histogram {
 // other character is kept literally. E.g. "4:43" -> "9:9",
 // "Sweet Home Alabama" -> "a a a", "215900" -> "9".
 func Pattern(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
+	var buf [64]byte // stays on the stack: only the string copy allocates
+	return string(appendPattern(buf[:0], s))
+}
+
+// appendPattern appends Pattern(s) to buf, so a caller that reuses buf
+// allocates nothing per value.
+func appendPattern(buf []byte, s string) []byte {
 	var last rune
 	for _, r := range s {
 		var c rune
@@ -330,8 +335,8 @@ func Pattern(s string) string {
 		if (c == '9' || c == 'a' || c == ' ') && c == last {
 			continue // compress runs of the same class
 		}
-		b.WriteRune(c)
+		buf = utf8.AppendRune(buf, c)
 		last = c
 	}
-	return b.String()
+	return buf
 }
