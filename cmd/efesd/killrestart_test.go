@@ -206,6 +206,7 @@ func TestKillRestartWarmCache(t *testing.T) {
 
 	var st struct {
 		ResultHits      int64 `json:"resultHits"`
+		ResultMemoHits  int64 `json:"resultMemoHits"`
 		ProfileComputes int64 `json:"profileComputes"`
 		ProfileDiskHits int64 `json:"profileDiskHits"`
 	}
@@ -221,11 +222,25 @@ func TestKillRestartWarmCache(t *testing.T) {
 		}
 	}
 	getStatus()
-	if st.ResultHits != 1 {
-		t.Errorf("result hits = %d, want 1", st.ResultHits)
+	if st.ResultHits != 1 || st.ResultMemoHits != 0 {
+		t.Errorf("result hits = %d (%d from memory), want 1 from disk", st.ResultHits, st.ResultMemoHits)
 	}
 	if st.ProfileComputes != 0 {
 		t.Errorf("restart recomputed %d profiles for a warm answer", st.ProfileComputes)
+	}
+
+	// The disk hit filled the scenario's memo slot: the next repeat is
+	// answered from memory, with the same bytes.
+	resp, again := post(t, base2+"/v1/estimate", []byte(estimateReq))
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Efes-Cache") != "hit" {
+		t.Errorf("second post-restart estimate: status %d, cache %q", resp.StatusCode, resp.Header.Get("X-Efes-Cache"))
+	}
+	if !bytes.Equal(cold, again) {
+		t.Error("memo-served estimate not byte-identical to the pre-kill answer")
+	}
+	getStatus()
+	if st.ResultHits != 2 || st.ResultMemoHits != 1 {
+		t.Errorf("result hits = %d (%d from memory), want 2 with 1 from memory", st.ResultHits, st.ResultMemoHits)
 	}
 
 	// Even bypassing the result cache, the full pipeline re-runs warm:

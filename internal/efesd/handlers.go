@@ -113,9 +113,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if src.Discover {
-			for _, c := range match.NewMatcher().Match(db, target).All {
-				corrs.All = append(corrs.All, c)
-			}
+			corrs.All = addDiscovered(corrs.All, match.NewMatcher().Match(db, target).All)
 		}
 		scn.Sources = append(scn.Sources, &core.Source{Name: src.Name, DB: db, Correspondences: corrs})
 		corrCount += len(corrs.All)
@@ -133,6 +131,23 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, uploadResponse{
 		Name: req.Name, Hash: hash, Sources: len(scn.Sources), Correspondences: corrCount,
 	})
+}
+
+// addDiscovered appends the discovered correspondences that no explicit
+// one already names (same source and target table and column): an
+// explicit correspondence wins over the matcher's guess at the same pair.
+func addDiscovered(explicit, discovered []match.Correspondence) []match.Correspondence {
+	type pair struct{ st, sc, tt, tc string }
+	named := make(map[pair]bool, len(explicit))
+	for _, c := range explicit {
+		named[pair{c.SourceTable, c.SourceColumn, c.TargetTable, c.TargetColumn}] = true
+	}
+	for _, c := range discovered {
+		if !named[pair{c.SourceTable, c.SourceColumn, c.TargetTable, c.TargetColumn}] {
+			explicit = append(explicit, c)
+		}
+	}
+	return explicit
 }
 
 // scenarioInfo is one row of GET /v1/scenarios.
@@ -219,6 +234,12 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	// A negative retry budget would run no detector attempt at all and
+	// price an empty, undegraded result.
+	if req.Retries != nil && *req.Retries < 0 {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("retries %d is negative", *req.Retries))
+		return
+	}
 	entry, ok := s.lookup(r, req.Scenario)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown scenario %q", req.Scenario))
@@ -229,11 +250,19 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// never serve each other's entries.
 	key := persist.ResultKey(entry.hash, q, s.cfgPrint, s.prof.Mode())
 	if s.cache != nil && !req.NoCache {
+		// Memo, then disk. Only bytes a Get returned enter the memo, so
+		// it serves exactly what the disk tier would; the Touch keeps the
+		// disk entry's recency as a Get would have.
+		slot := &entry.results[q]
+		if m := slot.Load(); m != nil && m.key == key {
+			s.cache.Touch("results", key)
+			s.resultMemoHits.Add(1)
+			s.serveHit(w, m.data)
+			return
+		}
 		if data, ok := s.cache.Get("results", key); ok {
-			s.resultHits.Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Efes-Cache", "hit")
-			w.Write(data)
+			slot.Store(&memoResult{key: key, data: data})
+			s.serveHit(w, data)
 			return
 		}
 	}
@@ -274,6 +303,14 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.degraded.Add(1)
 	}
 	s.writeResult(w, res, key, !req.NoCache)
+}
+
+// serveHit serves result bytes from the memo or the disk tier.
+func (s *Server) serveHit(w http.ResponseWriter, data []byte) {
+	s.resultHits.Add(1)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Efes-Cache", "hit")
+	w.Write(data)
 }
 
 // writeResult serves a freshly computed Result and — when it is clean
@@ -447,6 +484,10 @@ type statusResponse struct {
 	Degraded     int64 `json:"degraded"`
 	Fallbacks    int64 `json:"fallbacks"`
 
+	// ResultMemoHits is the share of ResultHits served from a resident
+	// scenario's memo slot; the rest were read from the disk cache.
+	ResultMemoHits int64 `json:"resultMemoHits"`
+
 	// Scenario-store eviction counters (see evict.go): scenarios
 	// dropped by the LRU cap and by idle-TTL expiry.
 	ScenariosEvictedLRU int64 `json:"scenariosEvictedLRU"`
@@ -479,6 +520,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		Panics:              s.panics.Load(),
 		TooLarge:            s.tooLarge.Load(),
 		ResultHits:          s.resultHits.Load(),
+		ResultMemoHits:      s.resultMemoHits.Load(),
 		ResultMisses:        s.resultMisses.Load(),
 		Degraded:            s.degraded.Load(),
 		Fallbacks:           s.fallbacks.Load(),

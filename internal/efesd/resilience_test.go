@@ -151,12 +151,21 @@ func TestResilienceDegradedResultsAreNeverPersisted(t *testing.T) {
 	_, ts := newTestServer(t, Config{Cache: cache})
 	uploadMusic(t, ts.URL, nil)
 
+	// An expired deadline answers with the baseline fallback, and a
+	// failed module with a degraded estimate.
+	faultinject.Enable("core:detector:"+mapping.ModuleName,
+		faultinject.Fault{Kind: faultinject.Delay, Delay: 500 * time.Millisecond, Times: 1})
+	resp, _ := post(t, ts.URL+"/v1/estimate", estimateBody(musicName, `, "timeoutMs": 50`), nil)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Efes-Degraded") != "1" {
+		t.Fatalf("fallback estimate: status %d, header %q", resp.StatusCode, resp.Header.Get("X-Efes-Degraded"))
+	}
+	faultinject.Reset()
 	faultinject.Enable("core:detector:"+mapping.ModuleName, faultinject.Fault{Kind: faultinject.Error, Times: 1})
-	resp, _ := post(t, ts.URL+"/v1/estimate", estimateBody(musicName, ""), nil)
+	resp, _ = post(t, ts.URL+"/v1/estimate", estimateBody(musicName, ""), nil)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Efes-Degraded") != "1" {
 		t.Fatalf("degraded estimate: status %d, header %q", resp.StatusCode, resp.Header.Get("X-Efes-Degraded"))
 	}
-	// The degraded answer did not poison the cache: the retry recomputes
+	// The degraded answers did not poison the cache: the retry recomputes
 	// cleanly (miss) and only then persists.
 	resp, clean := post(t, ts.URL+"/v1/estimate", estimateBody(musicName, ""), nil)
 	if resp.Header.Get("X-Efes-Cache") != "miss" || resp.Header.Get("X-Efes-Degraded") != "" {
@@ -168,5 +177,10 @@ func TestResilienceDegradedResultsAreNeverPersisted(t *testing.T) {
 	}
 	if !bytes.Equal(clean, warm) {
 		t.Error("warm bytes differ from the clean recompute")
+	}
+	// No degraded answer and no compute filled the memo: the warm answer
+	// came from the disk.
+	if got := status(t, ts.URL).ResultMemoHits; got != 0 {
+		t.Errorf("resultMemoHits = %d, want 0", got)
 	}
 }

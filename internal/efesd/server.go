@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -108,11 +109,17 @@ type Resilience struct {
 	FailFast bool
 }
 
-// scenarioEntry is one uploaded scenario with its content address and
-// recency bookkeeping (see evict.go).
+// scenarioEntry is one uploaded scenario with its content address, its
+// result memo and recency bookkeeping (see evict.go).
 type scenarioEntry struct {
 	scn  *core.Scenario
 	hash string // persist.ScenarioHash at upload time
+
+	// results is the memo tier of the result cache, one slot per
+	// effort.Quality: the bytes a successful persist.Cache.Get last
+	// returned for that quality, so a repeat estimate is served without
+	// reading the disk again. The slots live and die with the entry.
+	results [2]atomic.Pointer[memoResult]
 
 	// seq is the logical recency (larger = more recently used); it
 	// orders LRU eviction without consulting a clock.
@@ -120,6 +127,15 @@ type scenarioEntry struct {
 	// lastUsed is the injected-clock time of the last touch; zero when
 	// the server has no clock (TTL then never expires anything).
 	lastUsed time.Time //efes:guardedby mu — Server.mu
+}
+
+// memoResult is one result memo slot's content: the bytes persist.Cache.Get
+// returned, footer and checksum verified, under the result key it read.
+//
+//efes:cache-entry
+type memoResult struct {
+	key  string
+	data []byte
 }
 
 // Server is the estimation daemon. It implements http.Handler; all
@@ -153,6 +169,11 @@ type Server struct {
 	fallbacks    atomic.Int64
 	evictedLRU   atomic.Int64
 	evictedTTL   atomic.Int64
+
+	// resultMemoHits counts the resultHits served from a scenario's
+	// memo slot rather than read from the disk cache.
+	resultMemoHits atomic.Int64
+
 	// Profile-request mode counters: how many /v1/profile requests ran
 	// the exact vs. the approximate (sketch-based) kernels.
 	profileExact  atomic.Int64
@@ -171,6 +192,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxUploadBytes < 1 {
 		cfg.MaxUploadBytes = DefaultMaxUploadBytes
+	}
+	if cfg.Resilience.Retries < 0 {
+		return nil, fmt.Errorf("efesd: retries %d is negative", cfg.Resilience.Retries)
 	}
 	if len(cfg.Effort.Functions) == 0 {
 		cfg.Effort = effort.DefaultConfig()
@@ -318,12 +342,19 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // decodeBody decodes a JSON request body of at most limit bytes into v.
-// On failure it writes the response itself, 413 for an oversized body
-// and 400 for a malformed one, and returns false.
+// The body is one JSON value: anything but whitespace after it is
+// malformed. On failure it writes the response itself, 413 for an
+// oversized body and 400 for a malformed one, and returns false.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	err := dec.Decode(v)
 	if err == nil {
-		return true
+		switch _, err = dec.Token(); err {
+		case io.EOF:
+			return true
+		case nil:
+			err = errors.New("data after the request object")
+		}
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"efes/internal/core"
+	"efes/internal/match"
 	"efes/internal/persist"
 	"efes/internal/profile"
 	"efes/internal/scenario"
@@ -26,7 +27,7 @@ const musicName = "music-example"
 
 // renderUpload converts an in-memory scenario into the daemon's upload
 // JSON (schema text, CSV table bodies, correspondence text).
-func renderUpload(t *testing.T, scn *core.Scenario) []byte {
+func renderUpload(t testing.TB, scn *core.Scenario) []byte {
 	t.Helper()
 	renderDB := func(db interface {
 		WriteCSV(string, io.Writer) error
@@ -69,7 +70,7 @@ func renderUpload(t *testing.T, scn *core.Scenario) []byte {
 	return data
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -81,7 +82,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // post sends a JSON body and returns the response with its bytes read.
-func post(t *testing.T, url string, body []byte, header map[string]string) (*http.Response, []byte) {
+func post(t testing.TB, url string, body []byte, header map[string]string) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
@@ -118,7 +119,7 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 }
 
 // uploadMusic uploads the music example and returns its content hash.
-func uploadMusic(t *testing.T, baseURL string, header map[string]string) string {
+func uploadMusic(t testing.TB, baseURL string, header map[string]string) string {
 	t.Helper()
 	body := renderUpload(t, scenario.MusicExample(scenario.SmallExampleConfig()))
 	resp, data := post(t, baseURL+"/v1/scenarios", body, header)
@@ -554,5 +555,118 @@ func TestBodyLimits(t *testing.T) {
 	}
 	if got := status(t, ts.URL).TooLarge; got != 2 {
 		t.Errorf("status tooLarge after normal requests = %d, want still 2", got)
+	}
+}
+
+// TestRequestBodyTrailingData: every POST route decodes exactly one JSON
+// value. Whitespace may follow it; anything else, garbage or a second
+// object, is a 400 instead of being silently dropped.
+func TestRequestBodyTrailingData(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	scn := scenario.MusicExample(scenario.SmallExampleConfig())
+	upload, srcName := renderUpload(t, scn), scn.Sources[0].Name
+	for _, c := range []struct {
+		route string
+		body  string
+		ok    int
+	}{
+		{"/v1/scenarios", string(upload), http.StatusCreated},
+		{"/v1/estimate", `{"scenario": "music-example"}`, http.StatusOK},
+		{"/v1/profile", `{"scenario": "music-example", "db": "target", "table": "tracks", "column": "title"}`, http.StatusOK},
+		{"/v1/match", fmt.Sprintf(`{"scenario": "music-example", "source": %q}`, srcName), http.StatusOK},
+	} {
+		if resp, data := post(t, ts.URL+c.route, []byte(c.body+" \n\t\r\n"), nil); resp.StatusCode != c.ok {
+			t.Errorf("%s with trailing whitespace: status %d, want %d: %s", c.route, resp.StatusCode, c.ok, data)
+		}
+		for _, trailer := range []string{" trailing garbage", `{"scenario": "nope"}`, "}", "null"} {
+			resp, data := post(t, ts.URL+c.route, []byte(c.body+trailer), nil)
+			var e map[string]string
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(data, &e) != nil || !strings.HasPrefix(e["error"], "decode request: ") {
+				t.Errorf("%s followed by %q: status %d, body %s; want a 400 decode error", c.route, trailer, resp.StatusCode, data)
+			}
+		}
+	}
+}
+
+// TestUploadDiscoverAddsToExplicit: with explicit correspondences and
+// "discover": true, the matcher's pairs that the explicit list already
+// names are dropped, not refused as duplicates, and the estimate equals
+// the one for the merged list uploaded explicitly.
+func TestUploadDiscoverAddsToExplicit(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	scn := scenario.MusicExample(scenario.SmallExampleConfig())
+	body := renderUpload(t, scn)
+	var discover, merged uploadRequest
+	if json.Unmarshal(body, &discover) != nil || json.Unmarshal(body, &merged) != nil {
+		t.Fatal("cannot decode the rendered upload")
+	}
+	// The merged list: every explicit line, then each discovered pair no
+	// explicit line names.
+	overlap := 0
+	for i, src := range scn.Sources {
+		discover.Sources[i].Discover = true
+		explicit := map[string]bool{}
+		for _, c := range src.Correspondences.All {
+			explicit[c.String()] = true
+		}
+		for _, c := range match.NewMatcher().Match(src.DB, scn.Target).All {
+			if explicit[c.String()] {
+				overlap++
+			} else {
+				merged.Sources[i].Correspondences += c.String() + "\n"
+			}
+		}
+	}
+	if overlap == 0 {
+		t.Fatal("the matcher rediscovers no explicit pair; the test needs an overlap")
+	}
+
+	var estimates [2][]byte
+	var counts [2]int
+	for i, req := range []uploadRequest{discover, merged} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr := map[string]string{"X-Efes-Tenant": fmt.Sprint(i)}
+		resp, data := post(t, ts.URL+"/v1/scenarios", body, hdr)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("upload %d: status %d: %s", i, resp.StatusCode, data)
+		}
+		var ur uploadResponse
+		if err := json.Unmarshal(data, &ur); err != nil {
+			t.Fatal(err)
+		}
+		counts[i] = ur.Correspondences
+		resp, estimates[i] = post(t, ts.URL+"/v1/estimate", estimateBody(musicName, ""), hdr)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("estimate %d: status %d: %s", i, resp.StatusCode, estimates[i])
+		}
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("correspondences: %d with discover, %d merged explicitly", counts[0], counts[1])
+	}
+	if !bytes.Equal(estimates[0], estimates[1]) {
+		t.Error("the discover upload's estimate differs from the merged list's")
+	}
+}
+
+// TestNegativeRetriesRefused: a negative retry budget would run no
+// detector attempt and price an empty result as if it were clean, so a
+// request asking for one is a 400 and a server configured with one is
+// not built.
+func TestNegativeRetriesRefused(t *testing.T) {
+	if _, err := New(Config{Resilience: Resilience{Retries: -1}}); err == nil {
+		t.Error("New accepted Retries -1")
+	}
+	_, ts := newTestServer(t, Config{})
+	uploadMusic(t, ts.URL, nil)
+	for _, extra := range []string{`, "retries": -1`, `, "retries": -1, "noCache": true`} {
+		if resp, data := post(t, ts.URL+"/v1/estimate", estimateBody(musicName, extra), nil); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("estimate%s: status %d, want 400: %.200s", extra, resp.StatusCode, data)
+		}
+	}
+	if resp, data := post(t, ts.URL+"/v1/estimate", estimateBody(musicName, `, "retries": 0`), nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("retries 0: status %d: %s", resp.StatusCode, data)
 	}
 }

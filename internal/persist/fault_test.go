@@ -36,6 +36,9 @@ func TestFaultPersistReadDegradesToMiss(t *testing.T) {
 	c.Put("stats", "k", []byte("v"))
 
 	faultinject.Enable("persist:read", faultinject.Fault{Kind: faultinject.Error, Times: 1})
+	// Touch reads nothing and fires no fault point: the fault is left
+	// for the Get.
+	c.Touch("stats", "k")
 	if _, ok := c.Get("stats", "k"); ok {
 		t.Fatal("injected read fault must degrade to a miss")
 	}

@@ -370,6 +370,21 @@ func (c *Cache) Get(ns, key string) ([]byte, bool) {
 	return payload, true
 }
 
+// Touch marks the entry under (ns, key) as just used, as a hit by Get
+// does, without reading it: no I/O, no fault point, no hit counted, and
+// nothing happens when the key has no entry. A caller that serves an
+// entry's bytes from its own memory calls Touch, so that the size bound
+// still evicts the least recently used entries first.
+func (c *Cache) Touch(ns, key string) {
+	name := fileName(key)
+	c.mu.Lock()
+	if e, ok := c.entries[ns+"/"+name]; ok {
+		c.seq++
+		e.seq = c.seq
+	}
+	c.mu.Unlock()
+}
+
 // verify checks the footer and returns the payload.
 func verify(data []byte) ([]byte, error) {
 	if len(data) < footerSize {
@@ -483,14 +498,7 @@ func (c *Cache) Put(ns, key string, payload []byte) {
 		return
 	}
 
-	data := make([]byte, 0, len(payload)+footerSize)
-	data = append(data, payload...)
-	var foot [footerSize]byte
-	copy(foot[:8], footerMagic)
-	binary.BigEndian.PutUint64(foot[8:16], uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	copy(foot[16:], sum[:])
-	data = append(data, foot[:]...)
+	data := frame(payload)
 
 	// persist:corrupt simulates a storage-layer lie: the write "succeeds"
 	// but the bytes that land on disk are damaged (here: the checksum is
@@ -533,6 +541,19 @@ func (c *Cache) Put(ns, key string, payload []byte) {
 	for _, e := range evict {
 		os.Remove(filepath.Join(c.dir, e.ns, e.name+".ce"))
 	}
+}
+
+// frame returns the on-disk bytes of an entry: the payload followed by
+// its footer. verify accepts exactly the outputs of frame.
+func frame(payload []byte) []byte {
+	data := make([]byte, 0, len(payload)+footerSize)
+	data = append(data, payload...)
+	var foot [footerSize]byte
+	copy(foot[:8], footerMagic)
+	binary.BigEndian.PutUint64(foot[8:16], uint64(len(payload)))
+	sum := sha256.Sum256(payload)
+	copy(foot[16:], sum[:])
+	return append(data, foot[:]...)
 }
 
 // evictionsLocked trims the index to the size bound (caller holds c.mu)

@@ -198,6 +198,35 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestTouchRefreshesRecency: Touch moves an entry ahead of an older,
+// untouched one in the eviction order, as a Get hit would, but counts no
+// hit or miss; touching an absent key changes nothing.
+func TestTouchRefreshesRecency(t *testing.T) {
+	payload := []byte("12345678")
+	per := int64(len(payload) + footerSize)
+	c := open(t, t.TempDir(), Options{MaxBytes: 2 * per})
+	c.Put("results", "a", payload)
+	c.Put("results", "b", payload)
+	c.Touch("results", "a")
+	c.Touch("results", "absent")
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 2 {
+		t.Fatalf("after Touch: stats = %+v; want 2 entries, no hits or misses", st)
+	}
+	// Over the bound, the untouched b is now the least recently used.
+	c.Put("results", "c", payload)
+	if _, ok := c.Get("results", "b"); ok {
+		t.Error("untouched entry b survived eviction")
+	}
+	for _, k := range []string{"a", "c"} {
+		if _, ok := c.Get("results", k); !ok {
+			t.Errorf("entry %s evicted, want resident", k)
+		}
+	}
+	if st := c.Stats(); st.Evictions != 1 {
+		t.Errorf("evictions = %d, want 1", st.Evictions)
+	}
+}
+
 func TestScenarioHashContentAddressing(t *testing.T) {
 	build := func() *relational.Database {
 		s := relational.NewSchema("src")
