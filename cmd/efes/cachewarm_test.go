@@ -48,17 +48,26 @@ func saveMusicScenario(t *testing.T, root string) (string, string, string) {
 	return targetDir, srcDir, corrFile
 }
 
-// runCLI re-executes the test binary as the efes CLI.
+// runCLI re-executes the test binary as the efes CLI, failing the test
+// when the command fails.
 func runCLI(t *testing.T, args ...string) (stdout, stderr []byte) {
 	t.Helper()
+	out, errb, err := execCLI(args...)
+	if err != nil {
+		t.Fatalf("efes %v: %v\n%s", args, err, errb)
+	}
+	return out, errb
+}
+
+// execCLI re-executes the test binary as the efes CLI and returns its
+// output and exit error.
+func execCLI(args ...string) (stdout, stderr []byte, err error) {
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "EFES_CHILD=1")
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("efes %v: %v\n%s", args, err, errb.String())
-	}
-	return out.Bytes(), errb.Bytes()
+	err = cmd.Run()
+	return out.Bytes(), errb.Bytes(), err
 }
 
 func TestCacheDirWarmsRepeatRuns(t *testing.T) {
@@ -98,6 +107,34 @@ func TestCacheDirWarmsRepeatRuns(t *testing.T) {
 	}
 	if bytes.Equal(cold, changed) {
 		t.Error("mutated data produced the identical estimate bytes")
+	}
+}
+
+// TestNegativeRetriesFailBeforeCache: -retries -1 would run no detector
+// attempt and price an empty estimate. The CLI refuses it before it loads
+// anything or opens the cache, so no result is stored under the
+// policy-free result key, and the next plain run computes.
+func TestNegativeRetriesFailBeforeCache(t *testing.T) {
+	root := t.TempDir()
+	targetDir, srcDir, corrFile := saveMusicScenario(t, root)
+	cacheDir := filepath.Join(root, "cache")
+	args := []string{
+		"-target", targetDir, "-source", srcDir, "-corr", corrFile,
+		"-json", "-cache-dir", cacheDir,
+	}
+	out, errOut, err := execCLI(append(args, "-retries", "-1")...)
+	if err == nil || !bytes.Contains(errOut, []byte("-retries -1 is negative")) {
+		t.Fatalf("-retries -1: err %v, stdout %q, stderr %q; want a failure naming the negative retries", err, out, errOut)
+	}
+	if entries, err := os.ReadDir(filepath.Join(cacheDir, "results")); len(entries) != 0 || (err != nil && !os.IsNotExist(err)) {
+		t.Fatalf("-retries -1 left %d result entries (%v)", len(entries), err)
+	}
+	plain, plainErr := runCLI(t, args...)
+	if bytes.Contains(plainErr, []byte("result served from cache")) {
+		t.Fatal("the plain run after -retries -1 was served from the cache")
+	}
+	if bytes.Contains(plain, []byte(`"totalMinutes": 0,`)) {
+		t.Errorf("the plain run printed a 0-minute estimate:\n%s", plain)
 	}
 }
 

@@ -72,6 +72,9 @@ func main() {
 	if *bestEffort && *failFast {
 		fatal(fmt.Errorf("-best-effort and -fail-fast are mutually exclusive"))
 	}
+	if *retries < 0 {
+		fatal(fmt.Errorf("-retries %d is negative", *retries))
+	}
 	profileMode, err := profile.ParseMode(*profileModeFlag)
 	if err != nil {
 		fatal(err)

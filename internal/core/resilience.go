@@ -33,7 +33,8 @@ type Resilience struct {
 	ModuleTimeout time.Duration
 	// Retries is how many times a failed detector attempt is retried
 	// (so a detector runs at most Retries+1 times). Context
-	// cancellation and deadline expiry are never retried.
+	// cancellation and deadline expiry are never retried. A negative
+	// value is refused: it would run no attempt at all.
 	Retries int
 	// Backoff is the wait before the first retry; it doubles with each
 	// further retry and is interruptible by the context.
@@ -292,7 +293,13 @@ func (f *Framework) runPlanner(m Module, r Report, q effort.Quality) (tasks []ef
 // returns reports aligned with the module list (nil entries for failed
 // modules), the failures in registration order, and — in fail-fast mode
 // or on overall cancellation — the first error in registration order.
+// A negative retry budget is an error before any detector runs: with no
+// attempt made, every module would report nothing and the estimate would
+// read as a clean zero.
 func (f *Framework) assessAligned(ctx context.Context, s *Scenario) ([]Report, []ModuleFailure, error) {
+	if f.res.Retries < 0 {
+		return nil, nil, fmt.Errorf("core: retries %d is negative", f.res.Retries)
+	}
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
 	}

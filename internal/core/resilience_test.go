@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -154,6 +155,51 @@ func TestResilienceRetryExhaustion(t *testing.T) {
 	}
 	if len(res.Failures) != 1 || res.Failures[0].Attempts != 3 {
 		t.Fatalf("failures = %+v, want one failure after 3 attempts", res.Failures)
+	}
+}
+
+// countingModule counts its detector and planner calls.
+type countingModule struct{ calls *atomic.Int32 }
+
+func (m countingModule) Name() string { return "counting" }
+
+func (m countingModule) AssessComplexity(*core.Scenario) (core.Report, error) {
+	m.calls.Add(1)
+	return stubReport{}, nil
+}
+
+func (m countingModule) PlanTasks(core.Report, effort.Quality) ([]effort.Task, error) {
+	m.calls.Add(1)
+	return nil, nil
+}
+
+// TestResilienceNegativeRetriesRefused: a negative retry budget would run
+// no detector attempt and price an empty, undegraded estimate. Both entry
+// points refuse it, in either mode and at any worker count, before any
+// module is called.
+func TestResilienceNegativeRetriesRefused(t *testing.T) {
+	scn := scenario.MusicExample(scenario.SmallExampleConfig())
+	for _, bestEffort := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			var calls atomic.Int32
+			fw := core.New(effort.NewCalculator(effort.DefaultSettings()), countingModule{&calls}, countingModule{&calls}).
+				SetWorkers(workers).
+				SetResilience(core.Resilience{Retries: -1, BestEffort: bestEffort})
+			if bestEffort {
+				fw.SetFallback(baseline.New())
+			}
+			res, err := fw.EstimateContext(context.Background(), scn, effort.HighQuality)
+			if err == nil || !strings.Contains(err.Error(), "retries -1 is negative") || res != nil {
+				t.Errorf("best effort %v, %d workers: EstimateContext = %v, %v; want an error naming the negative retries", bestEffort, workers, res, err)
+			}
+			reports, failures, err := fw.AssessComplexityContext(context.Background(), scn)
+			if err == nil || !strings.Contains(err.Error(), "retries -1 is negative") || reports != nil || failures != nil {
+				t.Errorf("best effort %v, %d workers: AssessComplexityContext = %v, %v, %v; want an error naming the negative retries", bestEffort, workers, reports, failures, err)
+			}
+			if n := calls.Load(); n != 0 {
+				t.Errorf("best effort %v, %d workers: modules called %d times, want 0", bestEffort, workers, n)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ package relational
 // stages Rows, and commits them with Insert. vectorsFromRows is the old
 // vector build (one appendValue per cell). A column-first load must agree
 // with both byte for byte: error text, rows, every vector field, hash.
+// Both builds intern through the same dictionary index, so a string
+// column is also checked against refDict (dict_test.go), which does not.
 
 import (
 	"encoding/csv"
@@ -67,11 +69,13 @@ func readCSVRows(db *Database, table string, r io.Reader) error {
 }
 
 // vectorsFromRows is the row-first vector build: one appendValue per
-// cell, stamping and invalidating as it goes.
+// cell, stamping and invalidating as it goes, onto vectors sealed while
+// empty, as Insert appends to the vectors of a table built before it.
 func vectorsFromRows(t *Table, rows []Row) []*ColumnVector {
 	vs := make([]*ColumnVector, len(t.Columns))
 	for i, c := range t.Columns {
 		vs[i] = newColumnVector(c.Type)
+		vs[i].seal()
 	}
 	for _, row := range rows {
 		for i := range vs {
@@ -148,8 +152,10 @@ func assertSameRows(t *testing.T, got, want []Row) {
 }
 
 // assertSameVector compares every field of two vectors: shape, the
-// dictionary with its counts and codes, the lookup, the null bitmap, the
-// typed payload, and the chunk stamps with their epoch.
+// dictionary with its counts and codes, the null bitmap, the typed
+// payload, and the chunk stamps with their epoch. The dictionary index is
+// compared by what it answers: every entry of either vector resolves to
+// its own code.
 func assertSameVector(t *testing.T, name string, got, want *ColumnVector) {
 	t.Helper()
 	fail := func(field string, g, w any) {
@@ -171,14 +177,8 @@ func assertSameVector(t *testing.T, name string, got, want *ColumnVector) {
 	if !equalSlices(got.codes, want.codes, func(a, b int32) bool { return a == b }) {
 		fail("codes", got.codes, want.codes)
 	}
-	if len(got.lookup) != len(want.lookup) {
-		fail("lookup size", len(got.lookup), len(want.lookup))
-	}
-	for s, c := range want.lookup {
-		if gc, ok := got.lookup[s]; !ok || gc != c {
-			fail("lookup["+s+"]", gc, c)
-		}
-	}
+	assertResolves(t, name, got)
+	assertResolves(t, name, want)
 	if !equalSlices(got.ints, want.ints, func(a, b int64) bool { return a == b }) {
 		fail("ints", got.ints, want.ints)
 	}
@@ -248,6 +248,13 @@ func assertLoadsAgree(t *testing.T, db, oracle *Database, table, input string) {
 	tab := db.Schema.Table(table)
 	want := vectorsFromRows(tab, oracle.Rows(table))
 	for i, v := range db.Vectors(table) {
+		if v.Type() == String {
+			ref := newRefDict()
+			for _, row := range oracle.Rows(table) {
+				ref.add(row[i])
+			}
+			assertDictMatches(t, tab.Columns[i].Name, v, ref)
+		}
 		assertSameVector(t, tab.Columns[i].Name, v, want[i])
 	}
 	assertSameRows(t, db.Rows(table), oracle.Rows(table))
@@ -406,10 +413,11 @@ func TestContentHashPinned(t *testing.T) {
 }
 
 // TestReadCSVAllocBound: decoding allocates nothing per row. Fields are
-// cut in place in the read buffer, a string is copied only on its first
-// occurrence, integers parse inline, and the typed slices are grown once
-// from the size a strings.Reader reports; what remains is per load and
-// per distinct value.
+// cut in place in the read buffer, a string's bytes are copied into the
+// column's arena only on their first occurrence, integers parse inline,
+// and the typed slices are grown once from the size a strings.Reader
+// reports; what remains is per load, plus the amortized growth of the
+// dictionary's arena and index (TestReadCSVDictAllocBound).
 func TestReadCSVAllocBound(t *testing.T) {
 	s := NewSchema("alloc")
 	s.MustAddTable(MustTable("t",

@@ -68,6 +68,11 @@ func (b *Bitmap) clear(i int) {
 //
 // The slices returned by the accessors are owned by the vector: they must
 // not be mutated and are valid until the next mutation of the database.
+//
+// The dictionary entries a vector held when it was sealed share one
+// backing string (see dict.go). A dictionary string kept beyond the
+// vector, such as a memoized profile's top-k value, therefore keeps that
+// whole string alive, and with it the column's string storage.
 type ColumnVector struct {
 	typ    Type
 	length int
@@ -77,9 +82,12 @@ type ColumnVector struct {
 
 	// String columns (dictionary encoding).
 	codes  []int32
-	dict   []string         //efes:bounded one entry per distinct string value of the column
-	counts []int            //efes:bounded one entry per distinct string value of the column
-	lookup map[string]int32 //efes:bounded one entry per distinct string value of the column
+	dict   []string //efes:bounded one entry per distinct string value of the column
+	counts []int    //efes:bounded one entry per distinct string value of the column
+	index  dictIndex
+	// sealed is set by seal: from then on a new string is appended to
+	// dict directly instead of to the index's arena.
+	sealed bool
 
 	// Other types: one slot per row, zero-valued where NULL.
 	ints   []int64
@@ -106,11 +114,7 @@ type ColumnVector struct {
 }
 
 func newColumnVector(t Type) *ColumnVector {
-	v := &ColumnVector{typ: t}
-	if t == String {
-		v.lookup = make(map[string]int32)
-	}
-	return v
+	return &ColumnVector{typ: t}
 }
 
 // Type returns the column's declared type.
@@ -353,24 +357,6 @@ func (v *ColumnVector) invalidate() {
 	v.memoMu.Unlock()
 }
 
-// intern returns the dictionary code of s, adding it with count 0 when
-// unseen. The caller adjusts counts.
-func (v *ColumnVector) intern(s string) int32 {
-	if c, ok := v.lookup[s]; ok {
-		return c
-	}
-	return v.addEntry(s)
-}
-
-// addEntry appends an unseen string to the dictionary with count 0.
-func (v *ColumnVector) addEntry(s string) int32 {
-	c := int32(len(v.dict))
-	v.dict = append(v.dict, s)
-	v.counts = append(v.counts, 0)
-	v.lookup[s] = c
-	return c
-}
-
 // appendValue appends one canonical (already coerced) cell to a live
 // vector, stamping its chunk and dropping the distinct memo.
 func (v *ColumnVector) appendValue(val Value) {
@@ -407,12 +393,12 @@ func (v *ColumnVector) pushValue(val Value) {
 
 // pushField appends one CSV field to a vector under construction, parsed
 // with Coerce's string semantics: the empty field is NULL, a string is
-// interned (looked up without a copy, and copied only on its first
-// occurrence, so the dictionary never pins the reader's buffer), and any
-// other type parses into its dense slice — an integer spelled
-// -?[0-9]{1,18}, as WriteCSV spells nearly every int64, inline, any
-// other spelling through ParseInt. It reports false, appending nothing,
-// when the field does not parse as the column's type.
+// interned (looked up by its bytes, which are copied into the column's
+// arena only on their first occurrence, so the dictionary never pins the
+// reader's buffer), and any other type parses into its dense slice — an
+// integer spelled -?[0-9]{1,18}, as WriteCSV spells nearly every int64,
+// inline, any other spelling through ParseInt. It reports false,
+// appending nothing, when the field does not parse as the column's type.
 //
 //efes:hot
 func (v *ColumnVector) pushField(field []byte) bool {
@@ -422,10 +408,7 @@ func (v *ColumnVector) pushField(field []byte) bool {
 	}
 	switch v.typ {
 	case String:
-		c, ok := v.lookup[string(field)]
-		if !ok {
-			c = v.addEntry(string(field))
-		}
+		c := internHashed(v, field, hashBytes(field))
 		v.codes = append(v.codes, c)
 		v.counts[c]++
 	case Integer:
@@ -525,8 +508,10 @@ func (v *ColumnVector) pushNull() {
 // its rows one by one with appendValue would have: each chunk carries the
 // stamp of its last row, min((k+1)·ChunkSize, n), and the epoch is n. A
 // typed slice left with more spare capacity than append's own growth
-// slack (a reserve that overshot) is copied down to its length.
+// slack (a reserve that overshot) is copied down to its length. A string
+// column's arena becomes the backing string of its dictionary.
 func (v *ColumnVector) seal() {
+	v.sealDict()
 	v.codes = clip(v.codes)
 	v.ints = clip(v.ints)
 	v.floats = clip(v.floats)

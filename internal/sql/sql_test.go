@@ -7,7 +7,7 @@ import (
 	"efes/internal/relational"
 )
 
-func testDB(t *testing.T) *relational.Database {
+func testDB(t testing.TB) *relational.Database {
 	t.Helper()
 	s := relational.NewSchema("music")
 	s.MustAddTable(relational.MustTable("artists",
