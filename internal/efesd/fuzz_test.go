@@ -77,3 +77,32 @@ func FuzzEstimateRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUploadRequest sends arbitrary bodies to /v1/scenarios on one
+// server (at most 4 resident scenarios). Every answer must be a 201, 400
+// or 413, and no request may panic; an accepted body uploaded again must
+// get the same content hash. Seeds in testdata/fuzz/FuzzUploadRequest.
+func FuzzUploadRequest(f *testing.F) {
+	s, ts := newTestServer(f, Config{MaxScenarios: 4})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		panics := s.panics.Load()
+		resp, data := post(t, ts.URL+"/v1/scenarios", body, nil)
+		switch resp.StatusCode {
+		case http.StatusCreated:
+			var first, again uploadResponse
+			if err := json.Unmarshal(data, &first); err != nil {
+				t.Fatalf("201 with %v: %s", err, data)
+			}
+			resp, data = post(t, ts.URL+"/v1/scenarios", body, nil)
+			if resp.StatusCode != http.StatusCreated || json.Unmarshal(data, &again) != nil || again.Hash != first.Hash {
+				t.Errorf("uploaded again: status %d, %s; want 201 with hash %s", resp.StatusCode, data, first.Hash)
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		default:
+			t.Errorf("status %d: %s", resp.StatusCode, data)
+		}
+		if got := s.panics.Load(); got != panics {
+			t.Errorf("panics %d -> %d", panics, got)
+		}
+	})
+}

@@ -10,7 +10,9 @@ package efesd
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -137,6 +139,45 @@ func TestResiliencePanicIsolatedPerRequest(t *testing.T) {
 	}
 	if st.Panics != 1 {
 		t.Errorf("panics = %d, want 1", st.Panics)
+	}
+}
+
+// TestResilienceUploadInternPanicIs500: a panic while interning an
+// uploaded table, on the load's interning goroutine, reaches the
+// request's own goroutine and becomes a 500; the daemon survives, and
+// the same body is accepted once the fault is gone.
+func TestResilienceUploadInternPanicIs500(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Reset()
+	_, ts := newTestServer(t, Config{})
+	var csv strings.Builder
+	csv.WriteString("title,length\n")
+	for i := 0; i < 5000; i++ { // more than one batch of the CSV interner
+		fmt.Fprintf(&csv, "song %d,%d\n", i%700, i)
+	}
+	body, err := json.Marshal(uploadRequest{
+		Name:   "large",
+		Target: dbSpec{Schema: "schema tgt\n  table songs(title string, length integer)\n", Tables: map[string]string{"songs": csv.String()}},
+		Sources: []sourceSpec{{
+			Name:            "src",
+			dbSpec:          dbSpec{Schema: "schema src\n  table tracks(name string, ms integer)\n", Tables: map[string]string{"tracks": "name,ms\nHelp,138000\n"}},
+			Correspondences: "tracks.name -> songs.title\n",
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Enable("relational:intern", faultinject.Fault{Kind: faultinject.Panic})
+	if resp, data := post(t, ts.URL+"/v1/scenarios", body, nil); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("upload with the interner panicking: status %d: %s", resp.StatusCode, data)
+	}
+	var st statusResponse
+	if _, status := get(t, ts.URL+"/v1/status"); json.Unmarshal(status, &st) != nil || st.Panics != 1 {
+		t.Errorf("/v1/status panics = %d, want 1: %s", st.Panics, status)
+	}
+	faultinject.Reset()
+	if resp, data := post(t, ts.URL+"/v1/scenarios", body, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload after Reset: status %d: %s", resp.StatusCode, data)
 	}
 }
 

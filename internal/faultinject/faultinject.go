@@ -82,6 +82,7 @@ func Points() []string {
 		"persist:read",
 		"persist:write",
 		"profile:column",
+		"relational:intern",
 	}
 }
 

@@ -90,7 +90,7 @@ func TestEveryFireCallIsRegistered(t *testing.T) {
 	}
 	covered := make(map[string]bool, len(registry))
 	total := 0
-	for _, dir := range []string{"../core", "../persist", "../profile", "../experiments"} {
+	for _, dir := range []string{"../core", "../persist", "../profile", "../experiments", "../relational"} {
 		points := firePointArgs(t, dir)
 		total += len(points)
 		for _, point := range points {

@@ -227,8 +227,15 @@ func allTypesSchema() *Schema {
 // that checks that hashing builds no rows.
 func assertLoadsAgree(t *testing.T, db, oracle *Database, table, input string) {
 	t.Helper()
+	assertLoadsAgreeBatched(t, db, oracle, table, input, csvBatchRows)
+}
+
+// assertLoadsAgreeBatched is assertLoadsAgree with the string fields
+// interned in batches of batchRows records.
+func assertLoadsAgreeBatched(t *testing.T, db, oracle *Database, table, input string, batchRows int) {
+	t.Helper()
 	before, views := mustHash(t, db, table), snapshotViews(db, table)
-	err := db.ReadCSV(table, strings.NewReader(input))
+	err := db.readCSV(table, strings.NewReader(input), batchRows)
 	werr := readCSVRows(oracle, table, strings.NewReader(input))
 	if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
 		t.Fatalf("ReadCSV error %v, row path %v", err, werr)
@@ -261,7 +268,9 @@ func assertLoadsAgree(t *testing.T, db, oracle *Database, table, input string) {
 }
 
 // FuzzReadCSV loads first and then appends second (when non-empty) to
-// the same table, column-first and through the row-path oracle.
+// the same table, column-first and through the row-path oracle. It also
+// loads first into a third database in batches of 1 to 3 records, so
+// that the interner starts and batch boundaries fall anywhere.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("s,i,f,b,ts\nQueen,1,9.5,true,1975-10-31\n", "")
 	f.Fuzz(func(t *testing.T, first, second string) {
@@ -271,6 +280,7 @@ func FuzzReadCSV(f *testing.F) {
 		if second != "" {
 			assertLoadsAgree(t, db, oracle, "t", second)
 		}
+		assertLoadsAgreeBatched(t, NewDatabase(s), NewDatabase(s), "t", first, 1+len(first)%3)
 	})
 }
 
@@ -413,11 +423,13 @@ func TestContentHashPinned(t *testing.T) {
 }
 
 // TestReadCSVAllocBound: decoding allocates nothing per row. Fields are
-// cut in place in the read buffer, a string's bytes are copied into the
-// column's arena only on their first occurrence, integers parse inline,
-// and the typed slices are grown once from the size a strings.Reader
-// reports; what remains is per load, plus the amortized growth of the
-// dictionary's arena and index (TestReadCSVDictAllocBound).
+// cut in place in the read buffer, a string field is copied once into a
+// batch for the interner (batches are reused within the load, and their
+// buffers from load to load) and its bytes into the column's arena only
+// on their first occurrence, integers parse inline, and the typed
+// slices are grown once from the size a strings.Reader reports; what
+// remains is per load, plus the amortized growth of the dictionary's
+// arena and index (TestReadCSVDictAllocBound).
 func TestReadCSVAllocBound(t *testing.T) {
 	s := NewSchema("alloc")
 	s.MustAddTable(MustTable("t",

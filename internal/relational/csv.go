@@ -40,6 +40,19 @@ func (db *Database) WriteCSV(table string, w io.Writer) error {
 				record[i] = vs[i].format(r)
 			}
 		}
+		if len(record) == 1 && record[0] == "" {
+			// encoding/csv writes a lone empty field as an empty line,
+			// which ReadCSV, like encoding/csv, skips. Quoted, it reads
+			// back as one empty field: a NULL.
+			cw.Flush()
+			if err := cw.Error(); err != nil {
+				return err
+			}
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return err
+			}
+			continue
+		}
 		if err := cw.Write(record); err != nil {
 			return err
 		}
@@ -54,18 +67,30 @@ func (db *Database) WriteCSV(table string, w io.Writer) error {
 // input is read with encoding/csv's rules and errors (csvDecoder).
 //
 // Records decode straight into the table's column vectors — no Row is
-// built, no cell is boxed, and no field is copied except a string on its
-// first occurrence — and the table becomes column-first: its rows are
-// derived from the vectors on first row-API use. The vectors are exactly
-// those Vector would build from the equivalent inserted rows (same
-// dictionary order, counts, codes, nulls, and chunk stamps). When r
-// reports its size (a regular file, a strings.Reader or a bytes.Reader),
-// each typed slice is grown once to the row count estimated from the
-// first buffered block. The load is atomic: records decode into staged
-// vectors that are committed only when the whole input parses, so a
+// built and no cell is boxed — and the table becomes column-first: its
+// rows are derived from the vectors on first row-API use. The load runs
+// in two overlapping stages (csvintern.go): the calling goroutine reads
+// and splits records and parses every field that is not a string into
+// its vector, and copies each string field once, into a batch; one
+// interning goroutine interns the string columns a batch behind,
+// copying a string's bytes into its column's arena on their first
+// occurrence. The vectors are exactly those Vector would build from the
+// equivalent inserted rows (same dictionary order, counts, codes, nulls,
+// and chunk stamps). When r reports its size (a regular file, a
+// strings.Reader or a bytes.Reader), each typed slice is grown once to
+// the row count estimated from the first buffered block. The load is
+// atomic: records decode into staged vectors that are committed only
+// when the whole input parses and the interner has finished, so a
 // malformed line mid-file leaves the table untouched. Parse errors name
-// the 1-based input line and the column.
+// the 1-based input line and the column. A panic while interning is
+// raised again on the calling goroutine.
 func (db *Database) ReadCSV(table string, r io.Reader) error {
+	return db.readCSV(table, r, csvBatchRows)
+}
+
+// readCSV is ReadCSV with string fields interned in batches of at most
+// batchRows records.
+func (db *Database) readCSV(table string, r io.Reader, batchRows int) error {
 	t := db.Schema.Table(table)
 	if t == nil {
 		return fmt.Errorf("relational: unknown table %s", table)
@@ -89,12 +114,14 @@ func (db *Database) ReadCSV(table string, r io.Reader) error {
 	db.vecMu.Lock()
 	staged := db.restageLocked(t)
 	db.vecMu.Unlock()
-	if n := d.estimateRecords(size, len(t.Columns)); n > 0 {
+	est, fieldBytes := d.estimateRecords(size, len(t.Columns)), 0
+	if est > 0 {
 		for _, v := range staged {
-			v.reserve(n)
+			v.reserve(est)
 		}
+		fieldBytes = int((size - d.offset) / int64(est*len(t.Columns)))
 	}
-	if err := decodeCSV(d, t, staged); err != nil {
+	if err := decodeCSV(d, t, newInternQueue(t, staged, batchRows, est, fieldBytes)); err != nil {
 		return err
 	}
 	for _, v := range staged {
@@ -109,23 +136,41 @@ func (db *Database) ReadCSV(table string, r io.Reader) error {
 }
 
 // decodeCSV appends every remaining record of d to the staged vectors
-// of t, one field per column.
+// of t, one field per column: it parses the fields of every column that
+// is not a string into its vector, and hands the string fields to q. It
+// returns only once q's interner has finished, with the first error in
+// row order; a panic of the interner is raised again here.
 //
 //efes:hot
-func decodeCSV(d *csvDecoder, t *Table, staged []*ColumnVector) error {
+func decodeCSV(d *csvDecoder, t *Table, q *internQueue) (err error) {
+	defer func() {
+		// The interner works on records before the decoder's: its
+		// failure comes first in row order.
+		if qerr := q.stop(); qerr != nil {
+			err = fmt.Errorf("relational: read csv for %s: %w", t.Name, qerr)
+		}
+	}()
 	for {
-		record, err := d.readRecord()
-		if err == io.EOF {
+		record, rerr := d.readRecord()
+		if rerr == io.EOF {
+			q.flush()
 			return nil
 		}
-		if err != nil {
+		if rerr != nil {
 			//lint:ignore hotalloc cold error path: the load fails and stops here
-			return fmt.Errorf("relational: read csv for %s: %w", t.Name, err)
+			return fmt.Errorf("relational: read csv for %s: %w", t.Name, rerr)
 		}
+		b := q.cur
 		for i, field := range record {
-			if !staged[i].pushField(field) {
+			if j := q.slot[i]; j >= 0 {
+				b.add(j, field)
+			} else if !q.staged[i].pushField(field) {
 				return fieldError(d, t, i, field)
 			}
+		}
+		b.rows++
+		if b.full(q.batchRows) {
+			q.handOver()
 		}
 	}
 }

@@ -479,6 +479,51 @@ func TestSaveLoadDir(t *testing.T) {
 	}
 }
 
+// TestSaveLoadDirKeepsLoneEmptyCells: in a one-column table a NULL row
+// is a lone empty field, which WriteCSV quotes, so that LoadDir does not
+// skip it as a blank line.
+func TestSaveLoadDirKeepsLoneEmptyCells(t *testing.T) {
+	s := NewSchema("lone")
+	s.MustAddTable(MustTable("strs", Column{Name: "s", Type: String}))
+	s.MustAddTable(MustTable("ints", Column{Name: "n", Type: Integer}))
+	db := NewDatabase(s)
+	for _, v := range []Value{nil, "x", nil} {
+		db.MustInsert("strs", v)
+	}
+	for _, v := range []Value{int64(1), nil} {
+		db.MustInsert("ints", v)
+	}
+	var buf strings.Builder
+	if err := db.WriteCSV("strs", &buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "s\n\"\"\nx\n\"\"\n"; buf.String() != want {
+		t.Errorf("WriteCSV = %q, want %q", buf.String(), want)
+	}
+	dir := t.TempDir()
+	if err := db.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded := NewDatabase(s)
+	if err := loaded.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []string{"strs", "ints"} {
+		want, got := db.Rows(table), loaded.Rows(table)
+		if len(got) != len(want) {
+			t.Fatalf("%s: loaded %d rows, want %d", table, len(got), len(want))
+		}
+		for i := range want {
+			if (got[i][0] == nil) != (want[i][0] == nil) || CompareValues(got[i][0], want[i][0]) != 0 {
+				t.Errorf("%s row %d = %v, want %v", table, i, got[i][0], want[i][0])
+			}
+		}
+		if h, w := mustHash(t, loaded, table), mustHash(t, db, table); h != w {
+			t.Errorf("%s: ContentHash %s after the round trip, want %s", table, h, w)
+		}
+	}
+}
+
 func TestFormatValue(t *testing.T) {
 	if FormatValue(nil) != "" {
 		t.Error("NULL should format as empty string")
