@@ -165,7 +165,9 @@ func BenchmarkTable9EffortFunctions(b *testing.B) {
 }
 
 // BenchmarkFigure4CSGConversion converts the running example's schemas and
-// instance into cardinality-constrained schema graphs (Figure 4).
+// instance into cardinality-constrained schema graphs (Figure 4). The
+// interned instance builds node elements on demand, so the benchmark asks
+// every node for its element count to measure a full conversion.
 func BenchmarkFigure4CSGConversion(b *testing.B) {
 	src := benchExample.Sources[0].DB
 	for i := 0; i < b.N; i++ {
@@ -173,8 +175,12 @@ func BenchmarkFigure4CSGConversion(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := csg.FromDatabase(g, src); err != nil {
+		in, err := csg.FromDatabaseInterned(g, src)
+		if err != nil {
 			b.Fatal(err)
+		}
+		for _, n := range g.Nodes() {
+			in.NumElements(n)
 		}
 	}
 }
@@ -604,7 +610,7 @@ func warmVectors(db *relational.Database) {
 
 // BenchmarkProfileDatabaseXLarge profiles every column of the XLarge
 // source (~1M songs) with the exact kernels, single-worker — the
-// baseline for the sharded and approximate variants below.
+// baseline for the sharded variant below.
 func BenchmarkProfileDatabaseXLarge(b *testing.B) {
 	if testing.Short() {
 		b.Skip("XLarge scenario generation is expensive; skipped under -short")
@@ -615,26 +621,6 @@ func BenchmarkProfileDatabaseXLarge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := profile.NewProfiler(1).ProfileDatabase(db); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkProfileDatabaseXLargeSinglePass profiles every column of the
-// XLarge source with the pre-chunking single-pass kernels (FromVector) —
-// the implementation the sorted-run sharded kernels replace, kept as the
-// baseline the XLarge speedup is measured against.
-func BenchmarkProfileDatabaseXLargeSinglePass(b *testing.B) {
-	if testing.Short() {
-		b.Skip("XLarge scenario generation is expensive; skipped under -short")
-	}
-	db := xlargeExample().Sources[0].DB
-	warmVectors(db)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, t := range db.Schema.Tables() {
-			for _, c := range t.Columns {
-				profile.FromVector(t.Name, c.Name, db.Vector(t.Name, c.Name))
-			}
 		}
 	}
 }
@@ -651,24 +637,6 @@ func BenchmarkProfileDatabaseXLargeSharded(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := profile.NewProfiler(4).ProfileDatabase(db); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkProfileDatabaseXLargeApprox profiles the XLarge source with
-// the sketch-based kernels (HyperLogLog distinct counts, space-saving
-// top-k, streaming moments): bounded memory per chunk and no global
-// exact count map, which is where the large-cardinality columns win.
-func BenchmarkProfileDatabaseXLargeApprox(b *testing.B) {
-	if testing.Short() {
-		b.Skip("XLarge scenario generation is expensive; skipped under -short")
-	}
-	db := xlargeExample().Sources[0].DB
-	warmVectors(db)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := profile.NewProfiler(4).SetMode(profile.ModeApprox).ProfileDatabase(db); err != nil {
 			b.Fatal(err)
 		}
 	}

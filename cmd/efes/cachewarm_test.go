@@ -137,52 +137,3 @@ func TestNegativeRetriesFailBeforeCache(t *testing.T) {
 		t.Errorf("the plain run printed a 0-minute estimate:\n%s", plain)
 	}
 }
-
-func TestProfileModeFlag(t *testing.T) {
-	root := t.TempDir()
-	targetDir, srcDir, corrFile := saveMusicScenario(t, root)
-	base := []string{"-target", targetDir, "-source", srcDir, "-corr", corrFile}
-
-	// Exact runs (the default) never mention the mode — summary and
-	// JSON stay byte-identical to the pre-sketch format.
-	exactText, _ := runCLI(t, base...)
-	if bytes.Contains(exactText, []byte("profiling mode")) {
-		t.Errorf("exact summary mentions a profiling mode:\n%s", exactText)
-	}
-	exactJSON, _ := runCLI(t, append(base, "-json")...)
-	if bytes.Contains(exactJSON, []byte("profileMode")) {
-		t.Errorf("exact JSON mentions profileMode:\n%s", exactJSON)
-	}
-
-	// Approx runs are visibly marked in both renderings.
-	approxText, _ := runCLI(t, append(base, "-profile-mode", "approx")...)
-	if !bytes.Contains(approxText, []byte("profiling mode: approx")) {
-		t.Errorf("approx summary not marked:\n%s", approxText)
-	}
-	approxJSON, _ := runCLI(t, append(base, "-profile-mode", "approx", "-json")...)
-	if !bytes.Contains(approxJSON, []byte(`"profileMode": "approx"`)) {
-		t.Errorf("approx JSON not marked:\n%s", approxJSON)
-	}
-
-	// Approximate results never enter (or get served from) the exact
-	// result cache: repeated approx runs always recompute, and an
-	// approx run does not poison a later exact run's warm hit.
-	cacheDir := filepath.Join(root, "cache")
-	cached := append(base, "-json", "-cache-dir", cacheDir)
-	for i := 0; i < 2; i++ {
-		if _, errOut := runCLI(t, append(cached, "-profile-mode", "approx")...); bytes.Contains(errOut, []byte("result served from cache")) {
-			t.Fatal("approx run served from the result cache")
-		}
-	}
-	coldExact, coldErr := runCLI(t, cached...)
-	if bytes.Contains(coldErr, []byte("result served from cache")) {
-		t.Fatal("first exact run claims a cache hit after approx runs")
-	}
-	warmExact, warmErr := runCLI(t, cached...)
-	if !bytes.Contains(warmErr, []byte("result served from cache")) {
-		t.Fatalf("second exact run not served from cache:\n%s", warmErr)
-	}
-	if !bytes.Equal(coldExact, warmExact) {
-		t.Error("warm exact output not byte-identical")
-	}
-}

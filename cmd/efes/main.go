@@ -4,8 +4,7 @@
 //	efes -target targetdir -source srcdir [-corr file] [-quality high] \
 //	     [-discover] [-augment] [-skill 1.0] [-criticality 1.0] \
 //	     [-mapping-tool] [-workers N] [-timeout 30s] [-module-timeout 10s] \
-//	     [-retries 2] [-best-effort|-fail-fast] [-csv file] [-cache-dir dir] \
-//	     [-profile-mode exact|approx]
+//	     [-retries 2] [-best-effort|-fail-fast] [-csv file] [-cache-dir dir]
 //
 // Each database directory contains a schema.txt (the format written by
 // relational.Schema.String / SaveDir) and one <table>.csv per table. The
@@ -67,7 +66,6 @@ func main() {
 	bestEffort := flag.Bool("best-effort", false, "degrade on module failure: list it and fall back to the counting baseline")
 	failFast := flag.Bool("fail-fast", false, "abort on the first module failure (the default; rejects -best-effort)")
 	cacheDir := flag.String("cache-dir", "", "durable cache directory shared with efesd (profiles always; results with -json)")
-	profileModeFlag := flag.String("profile-mode", "exact", "column profiling mode: exact (bit-identical statistics) or approx (sketch-based, bounded error, marked in the output)")
 	flag.Parse()
 	if *bestEffort && *failFast {
 		fatal(fmt.Errorf("-best-effort and -fail-fast are mutually exclusive"))
@@ -75,11 +73,6 @@ func main() {
 	if *retries < 0 {
 		fatal(fmt.Errorf("-retries %d is negative", *retries))
 	}
-	profileMode, err := profile.ParseMode(*profileModeFlag)
-	if err != nil {
-		fatal(err)
-	}
-
 	if *writeConfig != "" {
 		f, err := os.Create(*writeConfig)
 		if err != nil {
@@ -182,7 +175,7 @@ func main() {
 			defer cache.Close()
 		}
 	}
-	prof := profile.NewProfiler(*workers).SetMode(profileMode)
+	prof := profile.NewProfiler(*workers)
 	if cache != nil {
 		prof.SetStore(cache.Namespace("stats"))
 	}
@@ -192,11 +185,8 @@ func main() {
 	// With -json and no side outputs, a warm result cache short-circuits
 	// the whole estimation: the stored bytes are the exact bytes a cold
 	// run would print (only non-degraded results are ever stored).
-	// Approximate runs neither read nor write the result cache — its
-	// entries are exact by contract, and an approx result must never be
-	// silently substituted for one.
 	var resultKey string
-	if cache != nil && *jsonOut && *csvOut == "" && *htmlOut == "" && profileMode == profile.ModeExact {
+	if cache != nil && *jsonOut && *csvOut == "" && *htmlOut == "" {
 		scnHash, err := persist.ScenarioHash(scn)
 		if err != nil {
 			fatal(err)
@@ -205,7 +195,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		resultKey = persist.ResultKey(scnHash, quality, fp, profileMode)
+		resultKey = persist.ResultKey(scnHash, quality, fp, profile.ModeExact)
 		if data, ok := cache.Get("results", resultKey); ok {
 			fmt.Fprintln(os.Stderr, "efes: result served from cache")
 			os.Stdout.Write(data)
@@ -231,9 +221,6 @@ func main() {
 	res, err := fw.EstimateContext(ctx, scn, quality)
 	if err != nil {
 		fatal(err)
-	}
-	if profileMode == profile.ModeApprox {
-		res.ProfileMode = profileMode.String()
 	}
 	if res.Degraded() {
 		fmt.Fprintf(os.Stderr, "efes: warning: degraded result, %d module(s) failed\n", len(res.Failures))

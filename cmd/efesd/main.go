@@ -6,8 +6,7 @@
 //	      [-workers N] [-max-inflight N] [-max-upload-bytes N] [-request-timeout 30s] \
 //	      [-module-timeout 10s] [-retries 1] [-backoff 50ms] [-fail-fast] \
 //	      [-max-scenarios N] [-scenario-ttl 1h] \
-//	      [-skill 1.0] [-criticality 1.0] [-config FILE] \
-//	      [-profile-mode exact|approx]
+//	      [-skill 1.0] [-criticality 1.0] [-config FILE]
 //
 // Endpoints (see internal/efesd): POST /v1/scenarios uploads a scenario
 // (schema text + CSV tables + correspondences), POST /v1/estimate,
@@ -37,7 +36,6 @@ import (
 	"efes/internal/efesd"
 	"efes/internal/effort"
 	"efes/internal/persist"
-	"efes/internal/profile"
 )
 
 func main() {
@@ -59,17 +57,10 @@ func main() {
 	mappingTool := flag.Bool("mapping-tool", false, "assume a mapping-generation tool (Example 3.8)")
 	configFile := flag.String("config", "", "JSON effort configuration (overrides the Table-9 defaults)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
-	profileModeFlag := flag.String("profile-mode", "exact", "default column profiling mode: exact or approx (per-request override via ?mode= or X-Efes-Profile-Mode)")
 	flag.Parse()
-
-	profileMode, err := profile.ParseMode(*profileModeFlag)
-	if err != nil {
-		fatal(err)
-	}
 
 	cfg := efesd.Config{
 		Workers:        *workers,
-		ProfileMode:    profileMode,
 		MaxInFlight:    *maxInFlight,
 		MaxUploadBytes: *maxUploadBytes,
 		RequestTimeout: *requestTimeout,

@@ -135,13 +135,6 @@ type Result struct {
 	// Failures lists the modules that failed during a best-effort run,
 	// in module registration order. Empty for a clean run.
 	Failures []ModuleFailure
-	// ProfileMode records a non-default profiling mode: "approx" when
-	// the value-fit statistics were computed by the sketch-based kernels
-	// with bounded error instead of exactly. Empty for exact runs, so
-	// exact summaries and JSON stay byte-identical to the pre-sketch
-	// format — an approximate result is always visibly marked, never
-	// silently substituted.
-	ProfileMode string
 }
 
 // Degraded reports whether any module failed and the estimate includes
@@ -167,9 +160,6 @@ func (r *Result) ProblemCount() int {
 func (r *Result) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "=== Scenario %s ===\n", r.Scenario)
-	if r.ProfileMode != "" {
-		fmt.Fprintf(&b, "(profiling mode: %s — sketch-based statistics with bounded error)\n", r.ProfileMode)
-	}
 	for _, rep := range r.Reports {
 		fmt.Fprintf(&b, "--- %s ---\n%s\n", rep.ModuleName(), rep.Summary())
 	}

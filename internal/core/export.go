@@ -36,11 +36,6 @@ type ResultExport struct {
 	// Failures lists the failed modules of a best-effort run, in module
 	// registration order.
 	Failures []FailureExport `json:"failures,omitempty"`
-	// ProfileMode marks a non-default profiling mode ("approx"): the
-	// value-fit statistics carry bounded error instead of being exact.
-	// Omitted for exact runs, keeping their JSON byte-identical to the
-	// pre-sketch format.
-	ProfileMode string `json:"profileMode,omitempty"`
 }
 
 // FailureExport is the serializable form of a ModuleFailure.
@@ -100,7 +95,6 @@ func (r *Result) Export() ResultExport {
 		})
 	}
 	out.Degraded = r.Degraded()
-	out.ProfileMode = r.ProfileMode
 	for _, mf := range r.Failures {
 		msg := ""
 		if mf.Err != nil {

@@ -14,9 +14,10 @@ import (
 // n-ary foreign key constraints can be expressed and checked.
 
 // Source is the instance view the relationship evaluators read: elements
-// per node and links per atomic relationship, as rendered strings. Both
-// the string-based Instance and the interned integer-ID Interned instance
-// implement it, so every Rel evaluates against either representation.
+// per node and links per atomic relationship, as rendered strings. The
+// interned instance implements it, and so does the string-element oracle
+// the tests compare it with, so every Rel evaluates against either
+// representation.
 type Source interface {
 	// Elements returns the elements assigned to a node.
 	Elements(n *Node) []string

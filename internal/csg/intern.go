@@ -9,8 +9,9 @@ import (
 	"efes/internal/relational"
 )
 
-// This file implements the interned CSG instance: the integer-ID twin of
-// the string-element Instance of convert.go. Elements are dense int32 IDs
+// This file implements the interned CSG instance, the one instance
+// representation the estimate and the data exchange run on. Elements are
+// dense int32 IDs
 // per node (tuple indexes for table nodes, first-occurrence distinct-value
 // indexes for attribute nodes, derived directly from the columnar
 // substrate's dictionary codes), and every atomic relationship is stored
@@ -31,9 +32,10 @@ import (
 // whose inferred cardinality is not statically safe, so it interns only
 // the columns those paths touch.
 //
-// The string-based Instance remains the semantic oracle: intern_test.go
-// property-tests element, link-count, violation-split, and sample identity
-// between the two representations over randomized scenarios.
+// The string-element Instance of instance_test.go is the semantic oracle:
+// intern_test.go property-tests element, link-count, violation-split, and
+// sample identity between the two representations over randomized
+// scenarios.
 
 // elemTable is the element table of one node: a dense ID space 0..n-1.
 type elemTable struct {
@@ -75,7 +77,7 @@ func (a *csrAdj) links(i int32) []int32 { return a.targets[a.offsets[i]:a.offset
 
 // Interned is a CSG instance with interned integer elements and CSR
 // adjacency. It implements Source, so the complex-relationship evaluators
-// accept it interchangeably with the string-based Instance.
+// run on it.
 //
 // Element tables and adjacencies are built on first use and memoized
 // without locking, so an Interned has a single owner: its methods must
@@ -96,11 +98,14 @@ type Interned struct {
 }
 
 // FromDatabaseInterned converts a relational instance into an interned CSG
-// instance over the graph produced by FromSchema on the same schema. It is
-// the integer-ID equivalent of FromDatabase: element IDs are assigned in
-// the exact order FromDatabase interns element strings (tuples in row
-// order, attribute values in first-occurrence row order), so lazy
-// rendering reproduces the oracle's elements byte for byte. It checks
+// instance over the graph produced by FromSchema on the same schema:
+// tuples become abstract identity elements, attribute nodes receive the
+// distinct values, and the relationships link them (§4.1, Example 4.1);
+// equality edges link equal values. Element IDs are assigned in the order
+// the string oracle (FromDatabase in instance_test.go) interns element
+// strings — tuples in row order, attribute values in first-occurrence row
+// order — so lazy rendering reproduces the oracle's elements byte for
+// byte. It checks
 // that the graph has a node and edge for every table and column and that
 // every equality edge joins two of them; the elements and links
 // themselves are built on demand.

@@ -8,10 +8,10 @@ import (
 	"efes/internal/relational"
 )
 
-// randomValidInstance generates a random instance of the Figure-2 source
-// schema that satisfies every declared constraint: the preconditions of
-// the cardinality inference.
-func randomValidInstance(t *testing.T, r *rand.Rand) (*Graph, *Instance) {
+// randomValidDB generates a random instance of the Figure-2 source schema
+// that satisfies every declared constraint: the preconditions of the
+// cardinality inference.
+func randomValidDB(t *testing.T, r *rand.Rand) *relational.Database {
 	t.Helper()
 	s := figure2Source()
 	db := relational.NewDatabase(s)
@@ -46,8 +46,16 @@ func randomValidInstance(t *testing.T, r *rand.Rand) (*Graph, *Instance) {
 	if viols := db.Validate(); len(viols) != 0 {
 		t.Fatalf("generator produced an invalid instance: %v", viols[0])
 	}
-	g := MustFromSchema(s)
-	in, err := FromDatabase(g, db)
+	return db
+}
+
+// randomValidInstance is randomValidDB converted to the interned CSG
+// instance the estimate runs on.
+func randomValidInstance(t *testing.T, r *rand.Rand) (*Graph, *Interned) {
+	t.Helper()
+	db := randomValidDB(t, r)
+	g := MustFromSchema(db.Schema)
+	in, err := FromDatabaseInterned(g, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +76,10 @@ func TestInferenceSoundOnValidInstances(t *testing.T) {
 		// CSG view).
 		for _, e := range g.Edges() {
 			p := Path{e}
-			for elem, n := range in.LinkCounts(p) {
+			for i, n := range in.LinkCounts(p) {
 				if !e.Card.Contains(int64(n)) {
 					t.Fatalf("round %d: atomic %s: element %s has %d links outside κ=%s",
-						round, e, elem, n, e.Card)
+						round, e, in.Elements(p.Start())[i], n, e.Card)
 				}
 			}
 		}
@@ -86,10 +94,10 @@ func TestInferenceSoundOnValidInstances(t *testing.T) {
 			}
 			for _, p := range FindPaths(g, from, to, 6) {
 				inferred := p.InferredCard()
-				for elem, n := range in.LinkCounts(p) {
+				for i, n := range in.LinkCounts(p) {
 					if !inferred.Contains(int64(n)) {
 						t.Fatalf("round %d: path %s: element %s has %d links outside inferred %s",
-							round, p, elem, n, inferred)
+							round, p, in.Elements(p.Start())[i], n, inferred)
 					}
 				}
 			}
@@ -147,4 +155,65 @@ func TestCollateralInferenceSoundOnValidInstances(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUnionInferenceSoundOnValidInstances checks Lemma 2 against
+// instances: for every two paths FindPaths returns between the same two
+// nodes, the union of the two relationships relates each start element to
+// a number of end elements that the inferred union cardinality admits.
+// Both paths start at the same node, so the domains are equal, and
+// nothing keeps their codomains apart: the overlapping-codomains case.
+// The check runs on the interned instance and on the string oracle.
+func TestUnionInferenceSoundOnValidInstances(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	pairs, checks := 0, 0
+	for round := 0; round < 20; round++ {
+		db := randomValidDB(t, r)
+		g := MustFromSchema(db.Schema)
+		interned, err := FromDatabaseInterned(g, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := FromDatabase(g, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		instances := []struct {
+			name string
+			in   Source
+		}{{"interned", interned}, {"oracle", oracle}}
+		nodes := g.Nodes()
+		for _, from := range nodes {
+			for _, to := range nodes {
+				if from == to {
+					continue
+				}
+				paths := FindPaths(g, from, to, 6)
+				for i := range paths {
+					for j := i + 1; j < len(paths); j++ {
+						u := UnionRel{
+							A:          AtomicRel{P: paths[i]},
+							B:          AtomicRel{P: paths[j]},
+							DomainCase: EqualDomainsOverlappingCodomains,
+						}
+						inferred := u.InferredCard()
+						pairs++
+						for _, inst := range instances {
+							for elem, n := range RelLinkCounts(inst.in, u) {
+								checks++
+								if !inferred.Contains(int64(n)) {
+									t.Fatalf("round %d, %s: union %s: element %s has %d links outside inferred %s",
+										round, inst.name, u, elem, n, inferred)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if pairs == 0 || checks == 0 {
+		t.Fatalf("checked %d path pairs and %d elements; the generator reaches no union", pairs, checks)
+	}
+	t.Logf("%d path pairs, %d element checks", pairs, checks)
 }

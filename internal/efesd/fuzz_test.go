@@ -9,6 +9,8 @@ import (
 
 	"efes/internal/effort"
 	"efes/internal/persist"
+	"efes/internal/relational"
+	"efes/internal/scenario"
 )
 
 // FuzzEstimateRequest sends arbitrary bodies to /v1/estimate on one
@@ -74,6 +76,76 @@ func FuzzEstimateRequest(f *testing.F) {
 		resp, data = post(t, ts.URL+"/v1/estimate", estimateBody(musicName, ""), nil)
 		if resp.StatusCode != http.StatusOK || !bytes.Equal(data, ref[effort.HighQuality]) {
 			t.Fatalf("after %q a plain estimate got status %d and other bytes:\n%s", body, resp.StatusCode, data)
+		}
+	})
+}
+
+// FuzzProfileRequest sends arbitrary bodies to /v1/profile on one server
+// (durable cache, the small music example uploaded, the profile of every
+// column of the target and the source recorded first). Every answer must
+// be a 200, 400, 404 or 413, and no request may panic; a 200 must carry
+// the recorded bytes of the database, table and column json.Unmarshal
+// decodes from the body. Afterwards a canonical request must still get
+// its recorded bytes, so no body can poison the memo or the disk tier.
+// Seeds in testdata/fuzz/FuzzProfileRequest.
+func FuzzProfileRequest(f *testing.F) {
+	cache, err := persist.Open(f.TempDir(), persist.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { cache.Close() })
+	s, ts := newTestServer(f, Config{Cache: cache})
+	uploadMusic(f, ts.URL, nil)
+	type column struct{ db, table, column string }
+	ref := make(map[column][]byte)
+	scn := scenario.MusicExample(scenario.SmallExampleConfig())
+	for _, d := range []struct {
+		name string
+		db   *relational.Database
+	}{{"target", scn.Target}, {scn.Sources[0].Name, scn.Sources[0].DB}} {
+		for _, t := range d.db.Schema.Tables() {
+			for _, c := range t.Columns {
+				col := column{d.name, t.Name, c.Name}
+				body, _ := json.Marshal(profileRequest{Scenario: musicName, DB: col.db, Table: col.table, Column: col.column})
+				resp, data := post(f, ts.URL+"/v1/profile", body, nil)
+				if resp.StatusCode != http.StatusOK {
+					f.Fatalf("%+v reference: status %d: %s", col, resp.StatusCode, data)
+				}
+				ref[col] = data
+			}
+		}
+	}
+	canonical := column{"target", "tracks", "title"}
+	canonicalBody, _ := json.Marshal(profileRequest{Scenario: musicName, DB: canonical.db, Table: canonical.table, Column: canonical.column})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		panics := s.panics.Load()
+		resp, data := post(t, ts.URL+"/v1/profile", body, nil)
+		// The server decodes exactly what json.Unmarshal accepts.
+		var req profileRequest
+		decoded := json.Unmarshal(body, &req) == nil
+		switch resp.StatusCode {
+		case http.StatusOK:
+			col := column{req.DB, req.Table, req.Column}
+			if col.db == "" {
+				col.db = "target"
+			}
+			switch want, known := ref[col]; {
+			case !decoded || req.Scenario != musicName || !known:
+				t.Errorf("200 for a body the server should refuse: %q", body)
+			case !bytes.Equal(data, want):
+				t.Errorf("profile of %+v differs from its reference:\n%s", col, data)
+			}
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
+		default:
+			t.Errorf("status %d: %s", resp.StatusCode, data)
+		}
+		if got := s.panics.Load(); got != panics {
+			t.Errorf("panics %d -> %d", panics, got)
+		}
+		resp, data = post(t, ts.URL+"/v1/profile", canonicalBody, nil)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(data, ref[canonical]) {
+			t.Fatalf("after %q a canonical profile got status %d and other bytes:\n%s", body, resp.StatusCode, data)
 		}
 	})
 }

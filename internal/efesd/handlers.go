@@ -245,10 +245,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown scenario %q", req.Scenario))
 		return
 	}
-	// The key carries the profiler's mode fingerprint: an approx-mode
-	// daemon and an exact-mode consumer of the same cache directory can
-	// never serve each other's entries.
-	key := persist.ResultKey(entry.hash, q, s.cfgPrint, s.prof.Mode())
+	key := persist.ResultKey(entry.hash, q, s.cfgPrint, profile.ModeExact)
 	if s.cache != nil && !req.NoCache {
 		// Memo, then disk. Only bytes a Get returned enter the memo, so
 		// it serves exactly what the disk tier would; the Touch keeps the
@@ -317,13 +314,7 @@ func (s *Server) serveHit(w http.ResponseWriter, data []byte) {
 // and a durable cache is configured — persists its exact bytes, so a
 // later warm hit is byte-identical to this response. Degraded results
 // are never persisted: they reflect a transient failure, not the data.
-// Every estimate response flows through here (including the best-effort
-// fallback path), so the approximate-mode marker below ends up in every
-// served — and every cached — body.
 func (s *Server) writeResult(w http.ResponseWriter, res *core.Result, key string, cacheable bool) {
-	if mode := s.prof.Mode(); mode == profile.ModeApprox {
-		res.ProfileMode = mode.String()
-	}
 	data, err := res.JSON()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Sprintf("encode result: %v", err))
@@ -348,29 +339,6 @@ type profileRequest struct {
 	DB     string `json:"db"`
 	Table  string `json:"table"`
 	Column string `json:"column"`
-	// Mode overrides the server's profiling mode for this request:
-	// "exact" or "approx". The ?mode= query parameter and the
-	// X-Efes-Profile-Mode header are equivalent spellings; the body
-	// field wins when several are set.
-	Mode string `json:"mode,omitempty"`
-}
-
-// requestProfileMode resolves the profiling mode of one profile request:
-// body field, then ?mode= query parameter, then X-Efes-Profile-Mode
-// header, then the server default. An unknown spelling is a 400, never a
-// silent fallback to a different precision than the client asked for.
-func (s *Server) requestProfileMode(r *http.Request, body string) (profile.Mode, error) {
-	spelling := body
-	if spelling == "" {
-		spelling = r.URL.Query().Get("mode")
-	}
-	if spelling == "" {
-		spelling = r.Header.Get("X-Efes-Profile-Mode")
-	}
-	if spelling == "" {
-		return s.prof.Mode(), nil
-	}
-	return profile.ParseMode(spelling)
 }
 
 // resolveDB finds the requested database within a scenario.
@@ -402,25 +370,12 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.releaseIfDropped(r, req.Scenario, entry)
-	mode, err := s.requestProfileMode(r, req.Mode)
+	stats, err := s.prof.ColumnContext(r.Context(), db, req.Table, req.Column)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	stats, err := s.prof.ColumnContextMode(r.Context(), db, req.Table, req.Column, mode)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if mode == profile.ModeApprox {
-		s.profileApprox.Add(1)
-	} else {
-		s.profileExact.Add(1)
-	}
-	// Echo the served mode so clients can assert they got the precision
-	// they asked for; approximate bodies additionally carry the Approx
-	// error-bound marker.
-	w.Header().Set("X-Efes-Profile-Mode", mode.String())
+	s.profileExact.Add(1)
 	writeJSON(w, http.StatusOK, stats)
 }
 
@@ -497,9 +452,9 @@ type statusResponse struct {
 	ProfileMisses   int64 `json:"profileMisses"`
 	ProfileDiskHits int64 `json:"profileDiskHits"`
 	ProfileComputes int64 `json:"profileComputes"`
-	// Per-mode /v1/profile request counters.
-	ProfileExact  int64 `json:"profileExact"`
-	ProfileApprox int64 `json:"profileApprox"`
+	// ProfileExact counts the /v1/profile requests served. Every profile
+	// is exact; the name is kept for existing status readers.
+	ProfileExact int64 `json:"profileExact"`
 
 	Cache *persist.Stats `json:"cache,omitempty"`
 }
@@ -531,7 +486,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		ProfileDiskHits:     diskHits,
 		ProfileComputes:     computes,
 		ProfileExact:        s.profileExact.Load(),
-		ProfileApprox:       s.profileApprox.Load(),
 	}
 	if s.cache != nil {
 		st := s.cache.Stats()

@@ -61,11 +61,6 @@ type Config struct {
 	Cache *persist.Cache
 	// Workers is the detector/profiler concurrency per request.
 	Workers int
-	// ProfileMode is the default profiling mode (exact, the zero value,
-	// or approx). Profile requests override it per request via ?mode= or
-	// the X-Efes-Profile-Mode header; approximate responses are always
-	// marked with their error bounds, never silently substituted.
-	ProfileMode profile.Mode
 	// MaxInFlight bounds concurrently admitted requests; excess
 	// requests are shed with 429. 0 selects DefaultMaxInFlight.
 	MaxInFlight int
@@ -174,10 +169,8 @@ type Server struct {
 	// memo slot rather than read from the disk cache.
 	resultMemoHits atomic.Int64
 
-	// Profile-request mode counters: how many /v1/profile requests ran
-	// the exact vs. the approximate (sketch-based) kernels.
-	profileExact  atomic.Int64
-	profileApprox atomic.Int64
+	// profileExact counts the /v1/profile requests served.
+	profileExact atomic.Int64
 }
 
 // New assembles a Server: one shared framework (standard modules, the
@@ -203,7 +196,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("efesd: fingerprint effort config: %w", err)
 	}
-	prof := profile.NewProfiler(cfg.Workers).SetMode(cfg.ProfileMode)
+	prof := profile.NewProfiler(cfg.Workers)
 	if cfg.Cache != nil {
 		prof.SetStore(cfg.Cache.Namespace("stats"))
 	}

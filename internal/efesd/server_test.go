@@ -18,7 +18,6 @@ import (
 	"efes/internal/core"
 	"efes/internal/match"
 	"efes/internal/persist"
-	"efes/internal/profile"
 	"efes/internal/scenario"
 )
 
@@ -254,128 +253,25 @@ func TestProfileEndpoint(t *testing.T) {
 		[]byte(`{"scenario": "music-example", "db": "target", "table": "tracks", "column": "nope"}`), nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown column status = %d, want 400", resp.StatusCode)
 	}
-}
 
-func TestProfileModeEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	uploadMusic(t, ts.URL, nil)
-	body := []byte(`{"scenario": "music-example", "db": "target", "table": "tracks", "column": "title"}`)
-
-	// Default is exact: the mode is echoed and the body carries no
-	// Approx marker.
-	resp, data := post(t, ts.URL+"/v1/profile", body, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("profile status = %d: %s", resp.StatusCode, data)
-	}
-	if got := resp.Header.Get("X-Efes-Profile-Mode"); got != "exact" {
-		t.Errorf("default mode header = %q, want exact", got)
-	}
-	if strings.Contains(string(data), "Approx") {
-		t.Errorf("exact profile body mentions Approx: %s", data)
+	// Bodies are not checked for unknown fields, so a client that still
+	// names a profiling mode gets the one (exact) profile.
+	resp, moded := post(t, ts.URL+"/v1/profile",
+		[]byte(`{"scenario": "music-example", "db": "target", "table": "tracks", "column": "title", "mode": "approx"}`), nil)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(moded, data) {
+		t.Errorf("profile naming a mode: status %d, body %s; want 200 and %s", resp.StatusCode, moded, data)
 	}
 
-	// ?mode=approx: echoed, and the body is visibly marked with its
-	// error bounds — an approximate answer is never silent.
-	resp, data = post(t, ts.URL+"/v1/profile?mode=approx", body, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("approx profile status = %d: %s", resp.StatusCode, data)
+	// profileExact counts the profiles served, not the refused requests.
+	_, st := get(t, ts.URL+"/v1/status")
+	var counters struct {
+		ProfileExact int64 `json:"profileExact"`
 	}
-	if got := resp.Header.Get("X-Efes-Profile-Mode"); got != "approx" {
-		t.Errorf("approx mode header = %q, want approx", got)
-	}
-	var marked struct {
-		Approx *struct {
-			HLLPrecision int `json:"hllPrecision"`
-		} `json:"Approx"`
-	}
-	if err := json.Unmarshal(data, &marked); err != nil {
+	if err := json.Unmarshal(st, &counters); err != nil {
 		t.Fatal(err)
 	}
-	if marked.Approx == nil {
-		t.Errorf("approx profile body lacks the Approx marker: %s", data)
-	}
-
-	// The header spelling is equivalent to the query parameter.
-	resp, _ = post(t, ts.URL+"/v1/profile", body, map[string]string{"X-Efes-Profile-Mode": "approx"})
-	if got := resp.Header.Get("X-Efes-Profile-Mode"); got != "approx" {
-		t.Errorf("header-requested mode echoed as %q, want approx", got)
-	}
-
-	// An unknown spelling is a 400, not a silent precision change.
-	if resp, _ := post(t, ts.URL+"/v1/profile?mode=fuzzy", body, nil); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown mode status = %d, want 400", resp.StatusCode)
-	}
-
-	// The per-mode counters show up in /v1/status.
-	_, data = get(t, ts.URL+"/v1/status")
-	var st struct {
-		ProfileExact  int64 `json:"profileExact"`
-		ProfileApprox int64 `json:"profileApprox"`
-	}
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.ProfileExact != 1 || st.ProfileApprox != 2 {
-		t.Errorf("status counters = %d exact / %d approx, want 1/2", st.ProfileExact, st.ProfileApprox)
-	}
-}
-
-func TestEstimateApproxMarkedAndIsolatedFromExactCache(t *testing.T) {
-	dir := t.TempDir()
-	openCache := func() *persist.Cache {
-		c, err := persist.Open(dir, persist.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	decode := func(data []byte) core.ResultExport {
-		var export core.ResultExport
-		if err := json.Unmarshal(data, &export); err != nil {
-			t.Fatal(err)
-		}
-		return export
-	}
-
-	// An approx-mode daemon marks every estimate body — and the marker
-	// survives into the cached bytes, so warm hits are marked too.
-	c1 := openCache()
-	_, ts1 := newTestServer(t, Config{Cache: c1, ProfileMode: profile.ModeApprox})
-	uploadMusic(t, ts1.URL, nil)
-	resp, cold := post(t, ts1.URL+"/v1/estimate", estimateBody(musicName, ""), nil)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Efes-Cache") != "miss" {
-		t.Fatalf("approx cold estimate: status %d, cache %q", resp.StatusCode, resp.Header.Get("X-Efes-Cache"))
-	}
-	if got := decode(cold).ProfileMode; got != "approx" {
-		t.Errorf("approx estimate profileMode = %q, want approx", got)
-	}
-	resp, warm := post(t, ts1.URL+"/v1/estimate", estimateBody(musicName, ""), nil)
-	if resp.Header.Get("X-Efes-Cache") != "hit" {
-		t.Fatalf("approx warm estimate not served from cache (%q)", resp.Header.Get("X-Efes-Cache"))
-	}
-	if got := decode(warm).ProfileMode; got != "approx" {
-		t.Errorf("cached approx estimate profileMode = %q, want approx", got)
-	}
-	ts1.Close()
-	c1.Close()
-
-	// An exact-mode daemon over the same cache directory must never see
-	// the approx entry: it recomputes (cache miss) and serves an unmarked
-	// result — the approx bytes are not silently substituted for exact.
-	c2 := openCache()
-	defer c2.Close()
-	_, ts2 := newTestServer(t, Config{Cache: c2})
-	uploadMusic(t, ts2.URL, nil)
-	resp, exact := post(t, ts2.URL+"/v1/estimate", estimateBody(musicName, ""), nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("exact estimate status = %d: %s", resp.StatusCode, exact)
-	}
-	if resp.Header.Get("X-Efes-Cache") != "miss" {
-		t.Errorf("exact estimate served the approx-mode cache entry (X-Efes-Cache %q, want miss)",
-			resp.Header.Get("X-Efes-Cache"))
-	}
-	if got := decode(exact).ProfileMode; got != "" {
-		t.Errorf("exact estimate profileMode = %q, want empty", got)
+	if counters.ProfileExact != 2 {
+		t.Errorf("profileExact = %d, want 2", counters.ProfileExact)
 	}
 }
 

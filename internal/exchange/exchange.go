@@ -108,7 +108,7 @@ type run struct {
 	out  *Outcome
 
 	srcGraph *csg.Graph
-	srcInst  *csg.Instance
+	srcInst  *csg.Interned
 	match    csg.NodeMatch
 
 	// keyMaps maps, per target table, the driving source tuple element
@@ -127,7 +127,7 @@ func integrateSource(scn *core.Scenario, src *core.Source, opts Options, out *Ou
 	if err != nil {
 		return err
 	}
-	srcInst, err := csg.FromDatabase(srcGraph, src.DB)
+	srcInst, err := csg.FromDatabaseInterned(srcGraph, src.DB)
 	if err != nil {
 		return err
 	}

@@ -83,29 +83,18 @@ func ConfigFingerprint(cfg effort.Config) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// StatsKey derives the stats-cache key for one column profile: a pure
-// function of the table's content bytes, the column, the (possibly
-// coercion target) type, and the profiling mode — including the sketch-
-// parameter fingerprint in approximate mode, so an approximate profile
-// can never warm the exact cache (or vice versa), and retuned sketches
-// never collide with old entries. It delegates to profile.StatsKeyFor,
-// the single derivation shared with the Profiler's own read-through
-// store path; ok=false means the table's content hash is unavailable
-// (unknown table) and nothing should be cached.
-func StatsKey(db *relational.Database, table, column string, typ relational.Type, coerced bool, mode profile.Mode) (string, bool) {
-	return profile.StatsKeyFor(db, table, column, typ, coerced, mode)
-}
-
 // ResultKey derives the result-cache key for one estimate: scenario
-// content, expected quality, effort configuration, and profiling mode.
-// The mode segment (profile.Mode.CacheFingerprint) embeds the sketch
-// parameters in approximate mode, so a sketch-derived result can never
-// be served where an exact one was asked for — the result cache obeys
-// the same exact/approx hygiene as the stats cache. The resilience
-// policy is deliberately not part of the key — only non-degraded results
-// are ever persisted, and a non-degraded result is byte-identical under
-// every policy and worker count (the determinism contract).
-func ResultKey(scenarioHash string, q effort.Quality, configFingerprint string, mode profile.Mode) string {
-	sum := sha256.Sum256([]byte(FormatVersion + "\x00result\x00" + scenarioHash + "\x00" + q.String() + "\x00" + configFingerprint + "\x00" + mode.CacheFingerprint()))
+// content, expected quality and effort configuration. The trailing
+// "exact" segment names the profiling engine, as keys always have, so
+// cache directories written by earlier versions stay warm
+// (TestResultKeyPinned). The mode argument no longer selects anything —
+// profile.ModeExact is the only mode — and stays only because the
+// benchmark module (perfbench) calls ResultKey with four arguments. The
+// resilience policy is deliberately not part of the key — only
+// non-degraded results are ever persisted, and a non-degraded result is
+// byte-identical under every policy and worker count (the determinism
+// contract).
+func ResultKey(scenarioHash string, q effort.Quality, configFingerprint string, _ profile.Mode) string {
+	sum := sha256.Sum256([]byte(FormatVersion + "\x00result\x00" + scenarioHash + "\x00" + q.String() + "\x00" + configFingerprint + "\x00exact"))
 	return hex.EncodeToString(sum[:])
 }

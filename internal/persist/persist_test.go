@@ -309,41 +309,28 @@ func TestResultKeyAndConfigFingerprint(t *testing.T) {
 	if ResultKey("h1", effort.LowEffort, fp, profile.ModeExact) == ResultKey("h2", effort.LowEffort, fp, profile.ModeExact) {
 		t.Error("scenario hash must be part of the result key")
 	}
-	if ResultKey("h", effort.LowEffort, fp, profile.ModeExact) == ResultKey("h", effort.LowEffort, fp, profile.ModeApprox) {
-		t.Error("profiling mode must be part of the result key")
-	}
 }
 
-func TestStatsKeySeparatesModes(t *testing.T) {
-	s := relational.NewSchema("src")
-	s.MustAddTable(relational.MustTable("t",
-		relational.Column{Name: "a", Type: relational.String}))
-	db := relational.NewDatabase(s)
-	db.MustInsert("t", "x")
-
-	ek, ok := StatsKey(db, "t", "a", relational.String, false, profile.ModeExact)
-	if !ok {
-		t.Fatal("StatsKey failed for a known table")
-	}
-	ak, ok := StatsKey(db, "t", "a", relational.String, false, profile.ModeApprox)
-	if !ok {
-		t.Fatal("StatsKey(approx) failed for a known table")
-	}
-	if ek == ak {
-		t.Error("exact and approx stats keys collide: an approx profile could warm the exact cache")
-	}
-	// The derivation is the one the Profiler itself uses, so cache
-	// consumers and the read-through store path agree on addresses.
-	if pk, _ := profile.StatsKeyFor(db, "t", "a", relational.String, false, profile.ModeExact); pk != ek {
-		t.Error("persist.StatsKey diverges from profile.StatsKeyFor")
-	}
-	// The coercion view and the type are part of the address.
-	if ck, _ := StatsKey(db, "t", "a", relational.Integer, true, profile.ModeExact); ck == ek {
-		t.Error("coerced view must not share the raw view's key")
-	}
-	// Unknown tables have no content hash and must not be cached.
-	if _, ok := StatsKey(db, "missing", "a", relational.String, false, profile.ModeExact); ok {
-		t.Error("StatsKey must fail for an unknown table")
+// TestResultKeyPinned pins the result-cache key derivation at both
+// qualities for a fixed scenario hash and configuration fingerprint. The
+// key addresses entries written by earlier processes: a change that
+// moves it turns every existing cache directory cold, and has to say so
+// and update these constants.
+func TestResultKeyPinned(t *testing.T) {
+	const (
+		scenarioHash = "5c3d2a1f0e9b8c7d6e5f4a3b2c1d0e9f8a7b6c5d4e3f2a1b0c9d8e7f6a5b4c3d"
+		configPrint  = "0f1e2d3c4b5a69788796a5b4c3d2e1f00f1e2d3c4b5a69788796a5b4c3d2e1f0"
+	)
+	for _, tc := range []struct {
+		q    effort.Quality
+		want string
+	}{
+		{effort.LowEffort, "86b0ab70188a8b221a9958f3b7b182eede973d0425d8060eeb2c87043a4d1bdf"},
+		{effort.HighQuality, "63e76e06a94a1e28d1a1de6730b6e822acf9473484ed8a85bf9830b6d19edb0a"},
+	} {
+		if got := ResultKey(scenarioHash, tc.q, configPrint, profile.ModeExact); got != tc.want {
+			t.Errorf("ResultKey(%s) = %s, want the pinned %s", tc.q, got, tc.want)
+		}
 	}
 }
 

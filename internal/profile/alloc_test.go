@@ -33,20 +33,21 @@ func repeatedStringVector(t *testing.T, n, d int) *relational.ColumnVector {
 }
 
 // TestCoercedFromStringAllocBound is the hotalloc regression for the
-// fused coercion kernel: profiling a string column as integers must
-// allocate O(distinct) times, not O(rows) — parsing runs once per
-// dictionary entry through the typed helpers with no per-value boxing.
+// fused coercion kernel: profiling a string column as integers on one
+// worker must allocate O(distinct) times, not O(rows) — parsing runs once
+// per dictionary entry through the typed helpers with no per-value
+// boxing.
 func TestCoercedFromStringAllocBound(t *testing.T) {
 	const rows, distinct = 4096, 8
 	vec := repeatedStringVector(t, rows, distinct)
 	allocs := testing.AllocsPerRun(5, func() {
-		FromVectorCoerced("t", "c", vec, relational.Integer)
+		FromVectorCoercedSharded("t", "c", vec, relational.Integer, 1)
 	})
-	// Generous fixed overhead (stats struct, count map, dense vector,
+	// Generous fixed overhead (stats struct, count maps, dense vector,
 	// finish helpers) plus a few per distinct value; far below one per
 	// row, which is what a reintroduced per-value allocation would cost.
 	if limit := float64(64 + 8*distinct); allocs > limit {
-		t.Errorf("FromVectorCoerced(string→int, %d rows, %d distinct): %v allocs/op, want ≤ %v",
+		t.Errorf("FromVectorCoercedSharded(string→int, %d rows, %d distinct, 1 worker): %v allocs/op, want ≤ %v",
 			rows, distinct, allocs, limit)
 	}
 }

@@ -6,3 +6,7 @@ var StatsEqual = statsEqual
 
 // ProfilerStringViews is profilerStringViews for the paper-scale test.
 var ProfilerStringViews = profilerStringViews
+
+// OracleCoerced is oracleCoerced, the row-path oracle of coerced views,
+// for the paper-scale test.
+var OracleCoerced = oracleCoerced

@@ -3,18 +3,22 @@ package profile
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
 	"efes/internal/relational"
 )
 
-// The property tests in this file assert that the fused columnar kernels
-// (kernels.go) are bit-identical to the seed row-path implementation
-// (Values in stats.go), which is kept as the oracle: random typed columns
-// with NULLs, ±Inf, NaN, -0, 1e16-magnitude values, and unicode strings
-// are profiled through both paths — raw and through every coercion
-// target — and every float is compared by bit pattern.
+// The property tests of the columnar kernels (shard.go) compare them with
+// the seed row-path implementation (Values in stats.go), which is kept as
+// the oracle: random typed columns with NULLs, ±Inf, NaN, -0,
+// 1e16-magnitude values, and unicode strings are profiled through both
+// paths — raw and through every coercion target — and every float is
+// compared by bit pattern. This file holds the generators, the
+// comparison, the property grid at one worker and the mutation test;
+// shard_test.go runs the grid at more workers and adds multi-chunk
+// columns.
 
 var allTypes = []relational.Type{
 	relational.String, relational.Integer, relational.Float, relational.Bool, relational.Time,
@@ -186,7 +190,13 @@ func oracleCoerced(table, column string, typ relational.Type, values []relationa
 	return Values(table, column, typ, coerced), incompatible
 }
 
-func TestKernelsBitIdenticalToRowPath(t *testing.T) {
+// checkGridAgainstRowPath profiles the property grid (seeds 1–4, every
+// type, 0, 1, 7 and 400 rows) through FromVectorSharded and
+// FromVectorCoercedSharded at each of the given worker counts, raw and
+// through every coercion target, and compares every profile with the row
+// path bit for bit.
+func checkGridAgainstRowPath(t *testing.T, workerCounts []int) {
+	t.Helper()
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, typ := range allTypes {
@@ -197,26 +207,34 @@ func TestKernelsBitIdenticalToRowPath(t *testing.T) {
 				if vec == nil {
 					t.Fatal("Vector returned nil for known column")
 				}
-				ctx := typ.String() + "/raw"
-				statsEqual(t, ctx, Values("t", "c", typ, values), FromVector("t", "c", vec))
-				for _, dst := range allTypes {
-					want, wantInc := oracleCoerced("t", "c", dst, values)
-					got, gotInc := FromVectorCoerced("t", "c", vec, dst)
-					cctx := typ.String() + "->" + dst.String()
-					if wantInc != gotInc {
-						t.Errorf("%s: incompatible: want %d, got %d", cctx, wantInc, gotInc)
+				for _, workers := range workerCounts {
+					ctx := typ.String() + "/raw/w" + strconv.Itoa(workers)
+					statsEqual(t, ctx, Values("t", "c", typ, values), FromVectorSharded("t", "c", vec, workers))
+					for _, dst := range allTypes {
+						want, wantInc := oracleCoerced("t", "c", dst, values)
+						got, gotInc := FromVectorCoercedSharded("t", "c", vec, dst, workers)
+						cctx := typ.String() + "->" + dst.String() + "/w" + strconv.Itoa(workers)
+						if wantInc != gotInc {
+							t.Errorf("%s: incompatible: want %d, got %d", cctx, wantInc, gotInc)
+						}
+						statsEqual(t, cctx, want, got)
 					}
-					statsEqual(t, cctx, want, got)
 				}
 			}
 		}
 	}
 }
 
+// TestKernelsBitIdenticalToRowPath runs the grid with one worker, the way
+// profile.Column runs the kernels: one shard per column, no merge.
+func TestKernelsBitIdenticalToRowPath(t *testing.T) {
+	checkGridAgainstRowPath(t, []int{1})
+}
+
 // TestKernelsAfterMutations exercises the incremental maintenance path:
 // vectors are materialized first, then the instance is mutated through
 // Insert/Update/Delete, and the kernels must still agree with the row
-// path bit for bit.
+// path bit for bit, for every type and worker count.
 func TestKernelsAfterMutations(t *testing.T) {
 	for seed := int64(10); seed <= 13; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -242,7 +260,11 @@ func TestKernelsAfterMutations(t *testing.T) {
 			}
 			values := db.MustColumn("t", "c")
 			vec := db.Vector("t", "c")
-			statsEqual(t, typ.String()+"/mutated", Values("t", "c", typ, values), FromVector("t", "c", vec))
+			want := Values("t", "c", typ, values)
+			for _, workers := range shardWorkerCounts {
+				ctx := typ.String() + "/mutated/w" + strconv.Itoa(workers)
+				statsEqual(t, ctx, want, FromVectorSharded("t", "c", vec, workers))
+			}
 			// The memoized sorted distinct must match the row path's too.
 			distinct, _, err := db.DistinctValues("t", "c")
 			if err != nil {

@@ -11,8 +11,8 @@ import (
 
 // TestIntToStringViewPaperScale profiles songs.length of the paper's
 // running example as tracks.duration sees it, a string: the view derived
-// from the raw profile equals the single-pass kernel, which renders every
-// value, bit for bit at one and two workers, through FromVectorCoercedSharded
+// from the raw profile equals the row path, which renders every value,
+// bit for bit at one and two workers, through FromVectorCoercedSharded
 // and through each way a Profiler can come by the raw profile, and
 // reports Table 6's 274,523 values with 260,923 distinct.
 func TestIntToStringViewPaperScale(t *testing.T) {
@@ -21,7 +21,7 @@ func TestIntToStringViewPaperScale(t *testing.T) {
 	}
 	db := scenario.MusicExample(scenario.PaperExampleConfig()).Sources[0].DB
 	vec := db.Vector("songs", "length")
-	want, _ := profile.FromVectorCoerced("songs", "length", vec, relational.String)
+	want, _ := profile.OracleCoerced("songs", "length", relational.String, db.MustColumn("songs", "length"))
 	check := func(ctx string, got *profile.ColumnStats) {
 		t.Helper()
 		profile.StatsEqual(t, ctx, want, got)

@@ -26,53 +26,17 @@ type profileKey struct {
 	column  string
 	typ     relational.Type
 	coerced bool
-	mode    Mode
 }
 
-// Mode selects between the exact profiling kernels (bit-identical to the
-// seed row path) and the approximate, sketch-based kernels (bounded
-// memory, documented error bounds, results marked with ApproxInfo). It
-// is part of every cache key — in memory and on disk — so approximate
-// profiles are never served where exact ones were requested, or vice
-// versa.
+// Mode names the profiling engine. There is one, the exact sharded
+// kernels, so ModeExact is the only value. The type remains because
+// persist.ResultKey still takes a mode argument, and the benchmark module
+// (perfbench) calls it with ModeExact; both go together once perfbench
+// stops passing it.
 type Mode int
 
-const (
-	// ModeExact runs the sharded exact kernels (the zero value).
-	ModeExact Mode = iota
-	// ModeApprox runs the sketch-based kernels.
-	ModeApprox
-)
-
-// String renders the mode as its flag/query-parameter spelling.
-func (m Mode) String() string {
-	if m == ModeApprox {
-		return "approx"
-	}
-	return "exact"
-}
-
-// ParseMode parses a mode spelling; the empty string means exact.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "exact":
-		return ModeExact, nil
-	case "approx", "approximate":
-		return ModeApprox, nil
-	}
-	return ModeExact, fmt.Errorf("profile: unknown mode %q (want exact or approx)", s)
-}
-
-// CacheFingerprint is the mode segment of durable cache keys (stats and
-// results alike): the approximate segment embeds the sketch parameters,
-// so entries computed under different algorithms or bounds never collide
-// — and approximate entries never warm the exact cache.
-func (m Mode) CacheFingerprint() string {
-	if m == ModeApprox {
-		return "approx/" + ApproxFingerprint()
-	}
-	return "exact"
-}
+// ModeExact is the exact profiling engine.
+const ModeExact Mode = 0
 
 // profileEntry is one cache slot. The ready channel implements in-flight
 // deduplication: the first goroutine to request a key computes it while
@@ -104,7 +68,6 @@ type profileEntry struct {
 //efes:daemon-lifetime
 type Profiler struct {
 	workers int
-	mode    Mode
 	store   Store
 
 	mu      sync.Mutex
@@ -142,23 +105,9 @@ func (p *Profiler) SetStore(s Store) *Profiler {
 	return p
 }
 
-// SetMode selects the default profiling mode for every lookup that does
-// not specify one. Like the worker count it must be set before the
-// Profiler is shared across goroutines; per-request overrides go through
-// ColumnContextMode instead.
-func (p *Profiler) SetMode(m Mode) *Profiler {
-	p.mode = m
-	return p
-}
-
-// Mode returns the default profiling mode.
-func (p *Profiler) Mode() Mode { return p.mode }
-
 // statsFormatVersion tags the durable stats keys; bump it when the
 // ColumnStats JSON shape or the profiling semantics change, so stale
-// entries stop matching instead of being misread. v2: profiles gained
-// the optional Approx error-bound marker and keys gained the mode
-// fingerprint.
+// entries stop matching instead of being misread.
 const statsFormatVersion = "efes-stats-v2"
 
 // statsEnvelope is the durable form of one memoized profile.
@@ -170,7 +119,10 @@ type statsEnvelope struct {
 // diskKey derives the content address of a profile: a pure function of
 // the table's serialized bytes, the column, and the (possibly coercion
 // target) type — independent of process, pointer identity, and upload
-// order, so any process over the same data shares entries.
+// order, so any process over the same data shares entries. The trailing
+// "exact" segment is the engine name that keys have always carried;
+// keeping it keeps cache directories written by earlier versions warm
+// (TestStatsKeysPinned).
 func diskKey(key profileKey) (string, bool) {
 	tableHash, err := key.db.ContentHash(key.table)
 	if err != nil {
@@ -181,19 +133,8 @@ func diskKey(key profileKey) (string, bool) {
 		coerced = "coerced"
 	}
 	sum := sha256.Sum256([]byte(statsFormatVersion + "\x00" + tableHash + "\x00" +
-		key.table + "\x00" + key.column + "\x00" + key.typ.String() + "\x00" + coerced + "\x00" +
-		key.mode.CacheFingerprint()))
+		key.table + "\x00" + key.column + "\x00" + key.typ.String() + "\x00" + coerced + "\x00exact"))
 	return hex.EncodeToString(sum[:]), true
-}
-
-// StatsKeyFor exposes the durable content address of a column profile:
-// a pure function of the table's bytes, the column, the (possibly
-// coercion target) type, and the profiling mode including its sketch-
-// parameter fingerprint. It is the single key derivation shared with
-// internal/persist, so every consumer agrees that exact and approximate
-// entries never collide.
-func StatsKeyFor(db *relational.Database, table, column string, typ relational.Type, coerced bool, mode Mode) (string, bool) {
-	return diskKey(profileKey{db: db, table: table, column: column, typ: typ, coerced: coerced, mode: mode})
 }
 
 // loadStored fetches and validates a profile from the durable store.
@@ -332,44 +273,31 @@ func (p *Profiler) Column(db *relational.Database, table, column string) (*Colum
 
 // ColumnContext is Column with cancellation: a caller whose context is
 // done stops waiting (and new computations are not started), without
-// disturbing other users of the shared cache. It profiles under the
-// Profiler's default mode.
+// disturbing other users of the shared cache.
 func (p *Profiler) ColumnContext(ctx context.Context, db *relational.Database, table, column string) (*ColumnStats, error) {
-	return p.ColumnContextMode(ctx, db, table, column, p.mode)
+	col, err := lookupColumn(db, table, column)
+	if err != nil {
+		return nil, err
+	}
+	key := profileKey{db: db, table: table, column: column, typ: col.Type}
+	cs, _, err := p.get(ctx, key, func() (*ColumnStats, int, error) {
+		return FromVectorSharded(table, column, db.Vector(table, column), p.workers), 0, nil
+	})
+	return cs, err
 }
 
-// ColumnContextMode is ColumnContext with a per-request mode override:
-// the daemon serves ?mode=approx requests from the same shared Profiler
-// without flipping its default. Exact and approximate profiles occupy
-// separate cache entries, in memory and on disk.
-func (p *Profiler) ColumnContextMode(ctx context.Context, db *relational.Database, table, column string, mode Mode) (*ColumnStats, error) {
+// lookupColumn returns the declaration of table.column, or the error
+// every profiling entry point reports for an unknown table or column.
+func lookupColumn(db *relational.Database, table, column string) (relational.Column, error) {
 	t := db.Schema.Table(table)
 	if t == nil {
-		return nil, fmt.Errorf("profile: unknown table %s", table)
+		return relational.Column{}, fmt.Errorf("profile: unknown table %s", table)
 	}
 	col, ok := t.Column(column)
 	if !ok {
-		return nil, fmt.Errorf("profile: unknown column %s.%s", table, column)
+		return relational.Column{}, fmt.Errorf("profile: unknown column %s.%s", table, column)
 	}
-	key := profileKey{db: db, table: table, column: column, typ: col.Type, mode: mode}
-	cs, _, err := p.get(ctx, key, func() (*ColumnStats, int, error) {
-		if vec := db.Vector(table, column); vec != nil {
-			if mode == ModeApprox {
-				return FromVectorApprox(table, column, vec, p.workers), 0, nil
-			}
-			return FromVectorSharded(table, column, vec, p.workers), 0, nil
-		}
-		values, err := db.Column(table, column)
-		if err != nil {
-			return nil, 0, err
-		}
-		stats := Values(table, column, col.Type, values)
-		if mode == ModeApprox {
-			stats.Approx = exactApproxInfo() // row-path fallback: exact, marked
-		}
-		return stats, 0, nil
-	})
-	return cs, err
+	return col, nil
 }
 
 // ColumnCoerced returns the memoized profile of a column viewed through a
@@ -382,65 +310,37 @@ func (p *Profiler) ColumnCoerced(db *relational.Database, table, column string, 
 	return p.ColumnCoercedContext(context.Background(), db, table, column, typ)
 }
 
-// ColumnCoercedContext is ColumnCoerced with cancellation, under the
-// Profiler's default mode.
+// ColumnCoercedContext is ColumnCoerced with cancellation. Viewing a
+// column through its declared type changes no value, so that view is the
+// raw profile: the same memo entry and disk key as ColumnContext, with no
+// incompatible values. The view of an integer column as strings is
+// derived from the column's raw profile, which it looks up (memo, store,
+// or compute) like ColumnContext; an error from that lookup fails the
+// view.
 func (p *Profiler) ColumnCoercedContext(ctx context.Context, db *relational.Database, table, column string, typ relational.Type) (*ColumnStats, int, error) {
-	return p.ColumnCoercedContextMode(ctx, db, table, column, typ, p.mode)
-}
-
-// ColumnCoercedContextMode is ColumnCoercedContext with a per-request
-// mode override. Viewing a column through its declared type changes no
-// value, so that view is the raw profile: the same memo entry and disk
-// key as ColumnContextMode, with no incompatible values. An exact view
-// of an integer column as strings is derived from the column's raw
-// profile, which it looks up (memo, store, or compute) like
-// ColumnContextMode; an error from that lookup fails the view.
-func (p *Profiler) ColumnCoercedContextMode(ctx context.Context, db *relational.Database, table, column string, typ relational.Type, mode Mode) (*ColumnStats, int, error) {
-	if t := db.Schema.Table(table); t != nil {
-		if col, ok := t.Column(column); ok && col.Type == typ {
-			cs, err := p.ColumnContextMode(ctx, db, table, column, mode)
-			return cs, 0, err
-		}
+	col, err := lookupColumn(db, table, column)
+	if err != nil {
+		return nil, 0, err
 	}
-	key := profileKey{db: db, table: table, column: column, typ: typ, coerced: true, mode: mode}
+	if col.Type == typ {
+		cs, err := p.ColumnContext(ctx, db, table, column)
+		return cs, 0, err
+	}
+	key := profileKey{db: db, table: table, column: column, typ: typ, coerced: true}
 	return p.get(ctx, key, func() (*ColumnStats, int, error) {
-		if vec := db.Vector(table, column); vec != nil {
-			if mode == ModeApprox {
-				cs, incompatible := FromVectorCoercedApprox(table, column, vec, typ, p.workers)
-				return cs, incompatible, nil
-			}
-			if vec.Type() == relational.Integer && typ == relational.String {
-				// The view shares most statistics with the raw profile,
-				// which a value-fit check has always requested first: a
-				// memo hit, or a disk hit in a warm process.
-				raw, err := p.ColumnContextMode(ctx, db, table, column, mode)
-				if err != nil {
-					return nil, 0, err
-				}
-				return intStringView(table, column, vec, raw), 0, nil
-			}
-			cs, incompatible := FromVectorCoercedSharded(table, column, vec, typ, p.workers)
-			return cs, incompatible, nil
-		}
-		values, err := db.Column(table, column)
-		if err != nil {
-			return nil, 0, err
-		}
-		coerced := make([]relational.Value, 0, len(values))
-		incompatible := 0
-		for _, v := range values {
-			cv, err := relational.Coerce(typ, v)
+		vec := db.Vector(table, column)
+		if col.Type == relational.Integer && typ == relational.String {
+			// The view shares most statistics with the raw profile,
+			// which a value-fit check has always requested first: a
+			// memo hit, or a disk hit in a warm process.
+			raw, err := p.ColumnContext(ctx, db, table, column)
 			if err != nil {
-				incompatible++
-				continue
+				return nil, 0, err
 			}
-			coerced = append(coerced, cv)
+			return intStringView(table, column, vec, raw), 0, nil
 		}
-		stats := Values(table, column, typ, coerced)
-		if mode == ModeApprox {
-			stats.Approx = exactApproxInfo() // row-path fallback: exact, marked
-		}
-		return stats, incompatible, nil
+		cs, incompatible := FromVectorCoercedSharded(table, column, vec, typ, p.workers)
+		return cs, incompatible, nil
 	})
 }
 

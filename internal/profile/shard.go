@@ -13,10 +13,35 @@ import (
 	"efes/internal/relational"
 )
 
-// This file holds the sharded exact kernels: the same fused statistics as
-// kernels.go, computed as mergeable per-chunk partial summaries by a pool
-// of workers and reduced in chunk index order. The bit-identity argument
-// extends the one in kernels.go:
+// This file holds the profiling kernels: fused statistics computed over
+// the columnar substrate (relational.ColumnVector) as mergeable per-chunk
+// partial summaries by a pool of workers, reduced in chunk index order.
+// Every kernel is bit-identical to Values, the seed row-path
+// implementation, which stays in stats.go as the test oracle (and serves
+// the rare coercions in coercedFallback). The identity arguments, per
+// statistic:
+//
+//   - Fill, Distinct, TopKCoverage: integer arithmetic, order-free.
+//   - Constancy: the seed sums -p*log2(p) over counts sorted (count desc,
+//     value asc). Entries with equal counts contribute identical addends,
+//     so summing count-groups in descending count order reproduces the
+//     identical float sequence without materializing or sorting the
+//     rendered values (constancyFromMult).
+//   - Mean/StdDev/Min/Max/Histogram and StringLength: the kernels collect
+//     the same float64 values in the same row order the seed appends them
+//     and run the seed's own distOf/minMax/histogramOf (or replicate the
+//     two-pass loop verbatim for string lengths).
+//   - TopK: the seed fully sorts all distinct values by (count desc,
+//     value asc) and truncates to TopKSize. That ordering is a strict
+//     total order (values are distinct), so the top-K set is unique and a
+//     bounded min-heap selects it regardless of iteration order; the K
+//     survivors are then sorted with the seed's comparator.
+//   - Distinct values of numeric columns are keyed by their typed value
+//     (int64, or float64 bits with all NaNs canonicalized) instead of the
+//     rendered string; rendering is injective on non-NaN values and
+//     collapses every NaN to "NaN", so the key spaces are isomorphic.
+//
+// Sharding preserves each of these:
 //
 //   - Per-chunk partials hold only order-insensitive aggregates (sorted
 //     value runs for the numeric kernels, integer count maps elsewhere,
@@ -24,14 +49,18 @@ import (
 //     float values. Merging sums the integer counts of equal values (any
 //     order — integer addition is exact) and concatenates the dense
 //     vectors in chunk index order, reproducing the exact row-order
-//     sequence the seed kernels build.
+//     sequence the seed builds.
 //   - Every float reduction (distOf, minMax, histogramOf, the two-pass
 //     string-length loop) then runs sequentially over the merged data
 //     with the seed's own helpers, so the float operation sequence is
 //     identical by construction — at any worker count, including one.
 //   - The top-k selection is order-independent (strict total order,
-//     bounded heap; see kernels.go), so merging per-shard survivors and
-//     reselecting yields the seed's exact set.
+//     bounded heap), so merging per-shard survivors and reselecting
+//     yields the seed's exact set.
+//
+// String columns are where fusion pays most: each distinct string is
+// processed once — pattern, rune count, character tallies — weighted by
+// its dictionary count, instead of once per row.
 //
 // Workers race only on disjoint per-chunk slots (one slot per chunk,
 // preallocated before the fan-out), so the kernels are race-clean without
@@ -87,8 +116,8 @@ func shardRun(chunks, workers int, fn func(k int)) {
 
 // FromVectorSharded profiles a column from its columnar representation
 // with per-chunk kernels fanned out over workers goroutines. The result
-// is bit-identical to FromVector (and therefore to the row path) at any
-// worker count.
+// is bit-identical to profiling the row view with Values at any worker
+// count.
 func FromVectorSharded(table, column string, vec *relational.ColumnVector, workers int) *ColumnStats {
 	cs := newStats(table, column, vec.Type(), vec.Len(), vec.NullCount())
 	switch vec.Type() {
@@ -106,16 +135,21 @@ func FromVectorSharded(table, column string, vec *relational.ColumnVector, worke
 	return cs
 }
 
-// FromVectorCoercedSharded is FromVectorCoerced with sharded kernels:
-// bit-identical to it (and the row path) at any worker count. The rare
-// fallback combinations (e.g. Time rendered to String) stay sequential —
-// they are never hot.
+// FromVectorCoercedSharded profiles a column viewed through a coercion
+// target type: the columnar equivalent of the Profiler's ColumnCoerced
+// view, bit-identical to the row path at any worker count. Values that
+// cannot be coerced are dropped and counted (the second return);
+// survivors (including NULLs) are profiled under typ. For string sources
+// the coercion runs once per distinct dictionary entry instead of once
+// per row. The rare fallback combinations (e.g. Time rendered to String)
+// stay sequential — they are never hot.
 func FromVectorCoercedSharded(table, column string, vec *relational.ColumnVector, typ relational.Type, workers int) (*ColumnStats, int) {
 	src := vec.Type()
 	if typ == src {
 		return FromVectorSharded(table, column, vec, workers), 0
 	}
 	if impossibleCoercion(src, typ) {
+		// Every non-NULL value fails to coerce; only NULLs survive.
 		return Values(table, column, typ, make([]relational.Value, vec.NullCount())), vec.Len() - vec.NullCount()
 	}
 	switch src {
@@ -155,13 +189,13 @@ func concatChunks(parts [][]float64, total int) []float64 {
 
 // valueRuns is one chunk's sorted run-length summary of a typed column:
 // distinct values in ascending order with their in-chunk counts. Runs
-// are the exact mode's mergeable per-chunk summary — merging is a
+// are the numeric kernels' mergeable per-chunk summary — merging is a
 // sequential multi-way merge that sums the counts of equal heads, so no
 // global hash table is ever built. Counts are order-independent, so any
 // merge order yields the same totals; the finish accumulators (distinct
 // count, count-multiplicity map, bounded top-k under a strict total
 // order) are themselves feed-order-independent, which is what makes the
-// whole pipeline bit-identical to the single-pass map kernels.
+// whole pipeline bit-identical to a count map over the whole column.
 type valueRuns[K cmp.Ordered] struct {
 	vals []K
 	cnts []int32
@@ -289,8 +323,8 @@ func intRuns(vals []int64) valueRuns[int64] {
 }
 
 // finishIntRuns feeds the merged runs into the same accumulators
-// finishInts drives off the single-pass count map — bit-identical
-// output with no global hash table.
+// finishInts drives off a count map — bit-identical output with no
+// global hash table.
 //
 //efes:hot
 func finishIntRuns(cs *ColumnStats, runs []valueRuns[int64], nonNull int) {
@@ -310,9 +344,10 @@ func finishIntRuns(cs *ColumnStats, runs []valueRuns[int64], nonNull int) {
 	finishTopK(cs, tk, nonNull)
 }
 
-// intKernelSharded is intKernel over per-chunk partials: each chunk
-// reduces its values to ascending runs (intRuns) and the run merge
-// recomputes the exact statistics. With no NULLs each chunk writes its
+// intKernelSharded profiles an integer column over per-chunk partials:
+// each chunk reduces its values to ascending runs (intRuns) and the run
+// merge recomputes the exact statistics; the numeric statistics then run
+// over the dense row-order vector with the seed's own helpers. With no NULLs each chunk writes its
 // span of the shared dense vector in place — disjoint [lo, hi) windows,
 // so the fan-out stays race-clean without the per-chunk copies.
 //
@@ -355,10 +390,10 @@ func intKernelSharded(cs *ColumnStats, ints []int64, nulls *relational.Bitmap, w
 	finishNumeric(cs, concatChunks(xss, nonNull))
 }
 
-// floatKernelSharded is floatKernel over per-chunk partials, with the
-// same sorted-run summaries as intKernelSharded (keys are canonical bit
-// patterns). With no NULLs the typed vector itself is the dense
-// row-order vector, exactly as in the single-pass kernel.
+// floatKernelSharded profiles a float column over per-chunk partials,
+// with the same sorted-run summaries as intKernelSharded (keys are
+// canonical bit patterns). With no NULLs the typed vector itself is the
+// dense row-order vector (zero copies).
 //
 //efes:hot
 func floatKernelSharded(cs *ColumnStats, floats []float64, nulls *relational.Bitmap, workers int) {
@@ -413,7 +448,7 @@ func floatKernelSharded(cs *ColumnStats, floats []float64, nulls *relational.Bit
 	}
 }
 
-// boolKernelSharded is boolKernel over per-chunk partials.
+// boolKernelSharded profiles a boolean column over per-chunk partials.
 //
 //efes:hot
 func boolKernelSharded(cs *ColumnStats, bools []bool, nulls *relational.Bitmap, workers int) {
@@ -448,7 +483,9 @@ func boolKernelSharded(cs *ColumnStats, bools []bool, nulls *relational.Bitmap, 
 	finishNumeric(cs, concatChunks(xss, nonNull))
 }
 
-// timeKernelSharded is timeKernel over per-chunk partials.
+// timeKernelSharded profiles a timestamp column over per-chunk partials.
+// Timestamps contribute no numeric or string statistics in the seed (the
+// Values type switch has no time case), only rendered-value counts.
 //
 //efes:hot
 func timeKernelSharded(cs *ColumnStats, times []time.Time, nulls *relational.Bitmap, workers int) {
@@ -491,11 +528,15 @@ type stringPartial struct {
 	tk         *topK
 }
 
-// stringKernelDictSharded is stringKernelDict sharded over dictionary
-// entries: each worker owns a contiguous dict range (disjoint runeLens
-// writes), partial tallies merge by integer sums, and the row-order
-// two-pass string-length accumulation stays sequential so its float
-// sequence matches the seed exactly.
+// stringKernelDictSharded is the fused string kernel, sharded over
+// dictionary entries: each worker owns a contiguous dict range (disjoint
+// runeLens writes) and computes patterns, character tallies, rune
+// lengths, the distinct count, the constancy count-multiset and the
+// top-k, each distinct string once, weighted by its occurrence count.
+// Partial tallies merge by integer sums, and the row-order two-pass
+// string-length accumulation stays sequential so its float sequence
+// matches the seed exactly. It serves the raw string column and the
+// derived to-string views (floatToStringSharded, boolToString).
 //
 //efes:hot
 func stringKernelDictSharded(cs *ColumnStats, strs []string, occ []int, codes []int32, nulls *relational.Bitmap, workers int) {
@@ -614,9 +655,14 @@ func stringKernelDictSharded(cs *ColumnStats, strs []string, occ []int, codes []
 	finishTopK(cs, tk, nonNull)
 }
 
-// coercedFromStringSharded is coercedFromString with the per-dict-entry
-// parse and tally loops sharded; the dense row-order vector is built from
-// per-chunk slices concatenated in chunk order.
+// coercedFromStringSharded profiles a string column viewed through
+// another type. Coercion (parsing) runs once per distinct dictionary
+// entry via the typed relational.Parse* helpers — the exact string
+// semantics of the row path's relational.Coerce, minus the per-value
+// interface boxing; rows whose entry fails to parse are dropped as
+// incompatible. The parse and tally loops are sharded over the
+// dictionary, and the dense row-order vector is built from per-chunk
+// slices concatenated in chunk order.
 //
 //efes:hot
 func coercedFromStringSharded(table, column string, vec *relational.ColumnVector, typ relational.Type, workers int) (*ColumnStats, int) {
@@ -817,7 +863,8 @@ func sumInts(xs []int) int {
 	return n
 }
 
-// intToFloatSharded is intToFloat over per-chunk partials.
+// intToFloatSharded profiles an integer column viewed as float (never
+// fails) over per-chunk partials.
 //
 //efes:hot
 func intToFloatSharded(table, column string, vec *relational.ColumnVector, workers int) *ColumnStats {
@@ -852,7 +899,9 @@ func intToFloatSharded(table, column string, vec *relational.ColumnVector, worke
 	return cs
 }
 
-// floatToIntSharded is floatToInt over per-chunk partials.
+// floatToIntSharded profiles a float column viewed as integer over
+// per-chunk partials: only integral, finite values coerce (the seed's
+// Trunc check, replicated per row).
 //
 //efes:hot
 func floatToIntSharded(table, column string, vec *relational.ColumnVector, workers int) (*ColumnStats, int) {

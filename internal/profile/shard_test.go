@@ -9,46 +9,24 @@ import (
 	"efes/internal/relational"
 )
 
-// The sharded exact kernels must be bit-identical to the single-pass
-// kernels (and therefore to the seed row path) at every worker count.
-// The suites below re-run the kernels_test.go property grid through
-// FromVectorSharded/FromVectorCoercedSharded, then add multi-chunk
-// columns (> relational.ChunkSize rows, and > ChunkSize distinct values
-// for the dictionary-sharded string kernel) that the small grid cannot
-// reach, plus mutation sequences that cross chunk boundaries.
+// The sharded kernels must be bit-identical to the seed row path (Values
+// and oracleCoerced) at every worker count. The suites below run the
+// property grid of kernels_test.go through FromVectorSharded and
+// FromVectorCoercedSharded, then add multi-chunk columns (>
+// relational.ChunkSize rows, and > ChunkSize distinct values for the
+// dictionary-sharded string kernel) that the small grid cannot reach,
+// plus mutation sequences that cross chunk boundaries.
 
 var shardWorkerCounts = []int{1, 2, 3, 8}
 
+// TestShardedBitIdenticalToRowPath runs the grid of kernels_test.go at
+// more than one worker, so the per-shard partials are merged.
 func TestShardedBitIdenticalToRowPath(t *testing.T) {
-	for seed := int64(1); seed <= 2; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		for _, typ := range allTypes {
-			for _, n := range []int{0, 1, 7, 400} {
-				db := randomDB(t, rng, typ, n)
-				values := db.MustColumn("t", "c")
-				vec := db.Vector("t", "c")
-				for _, workers := range shardWorkerCounts {
-					ctx := typ.String() + "/raw/w" + strconv.Itoa(workers)
-					statsEqual(t, ctx, Values("t", "c", typ, values), FromVectorSharded("t", "c", vec, workers))
-					for _, dst := range allTypes {
-						want, wantInc := oracleCoerced("t", "c", dst, values)
-						got, gotInc := FromVectorCoercedSharded("t", "c", vec, dst, workers)
-						cctx := typ.String() + "->" + dst.String() + "/w" + strconv.Itoa(workers)
-						if wantInc != gotInc {
-							t.Errorf("%s: incompatible: want %d, got %d", cctx, wantInc, gotInc)
-						}
-						statsEqual(t, cctx, want, got)
-					}
-				}
-			}
-		}
-	}
+	checkGridAgainstRowPath(t, []int{2, 3, 8})
 }
 
 // TestShardedMultiChunk crosses the chunk boundary: > ChunkSize rows, so
-// the per-chunk partial merge actually runs. The single-pass kernels are
-// the oracle here (they are themselves property-tested against the row
-// path, and the row path over 66k adversarial values is slow).
+// the per-chunk partial merge actually runs, against the row path.
 func TestShardedMultiChunk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-chunk columns are slow to build")
@@ -57,8 +35,9 @@ func TestShardedMultiChunk(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, typ := range allTypes {
 		db := randomDB(t, rng, typ, n)
+		values := db.MustColumn("t", "c")
 		vec := db.Vector("t", "c")
-		want := FromVector("t", "c", vec)
+		want := Values("t", "c", typ, values)
 		for _, workers := range shardWorkerCounts {
 			ctx := typ.String() + "/multichunk/w" + strconv.Itoa(workers)
 			statsEqual(t, ctx, want, FromVectorSharded("t", "c", vec, workers))
@@ -78,7 +57,7 @@ func TestShardedMultiChunk(t *testing.T) {
 		default:
 			dst = relational.String // coercedFallback
 		}
-		wantC, wantInc := FromVectorCoerced("t", "c", vec, dst)
+		wantC, wantInc := oracleCoerced("t", "c", dst, values)
 		for _, workers := range shardWorkerCounts {
 			gotC, gotInc := FromVectorCoercedSharded("t", "c", vec, dst, workers)
 			cctx := typ.String() + "->" + dst.String() + "/multichunk/w" + strconv.Itoa(workers)
@@ -111,9 +90,10 @@ func TestShardedMultiChunkDictionary(t *testing.T) {
 	for i := 0; i < n; i++ {
 		db.MustInsert("t", int64(i)) // all distinct: derived dict > ChunkSize entries
 	}
+	values := db.MustColumn("t", "c")
 	vec := db.Vector("t", "c")
-	want := FromVector("t", "c", vec)
-	wantS, _ := FromVectorCoerced("t", "c", vec, relational.String)
+	want := Values("t", "c", relational.Integer, values)
+	wantS, _ := oracleCoerced("t", "c", relational.String, values)
 	for _, workers := range shardWorkerCounts {
 		w := strconv.Itoa(workers)
 		statsEqual(t, "int/alldistinct/w"+w, want, FromVectorSharded("t", "c", vec, workers))

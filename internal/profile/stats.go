@@ -108,26 +108,16 @@ type ColumnStats struct {
 	TopK []ValueCount
 	// TopKCoverage is the share of non-NULL values covered by TopK.
 	TopKCoverage float64
-	// Approx is set if and only if the profile was computed by the
-	// approximate (sketch-based) kernels; it documents the error bounds
-	// of the sketched statistics. Exact profiles leave it nil, and the
-	// omitempty tag keeps their JSON rendering byte-identical to the
-	// pre-sketch format.
-	Approx *ApproxInfo `json:",omitempty"`
 }
 
-// Column profiles one column of a database instance via the fused
-// columnar kernels (bit-identical to the row path, see kernels.go).
+// Column profiles one column of a database instance on the calling
+// goroutine via the columnar kernels (bit-identical to the row path, see
+// shard.go).
 func Column(db *relational.Database, table, column string) (*ColumnStats, error) {
-	if vec := db.Vector(table, column); vec != nil {
-		return FromVector(table, column, vec), nil
-	}
-	values, err := db.Column(table, column) // unknown table/column: error
-	if err != nil {
+	if _, err := lookupColumn(db, table, column); err != nil {
 		return nil, err
 	}
-	col, _ := db.Schema.Table(table).Column(column)
-	return Values(table, column, col.Type, values), nil
+	return FromVectorSharded(table, column, db.Vector(table, column), 1), nil
 }
 
 // MustColumn is Column but panics on error.

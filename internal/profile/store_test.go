@@ -187,84 +187,6 @@ func TestStoreGarbageIsIgnoredAndRepaired(t *testing.T) {
 	}
 }
 
-// TestStoreModeIsolation is the regression test for the cache-poisoning
-// fix: an approximate profile must never warm the exact cache (or vice
-// versa). An approx run followed by an exact run over the same bytes
-// recomputes; a repeated run in the same mode is a disk hit.
-func TestStoreModeIsolation(t *testing.T) {
-	db := profilerDB(t)
-	store := newMemStore()
-
-	// 1. Approximate run: computes and persists under the approx key.
-	pa := NewProfiler(1).SetStore(store).SetMode(ModeApprox)
-	approx, err := pa.Column(db, "songs", "title")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if approx.Approx == nil {
-		t.Fatal("approx-mode profile not marked")
-	}
-	if dh, comp := pa.DiskCounters(); dh != 0 || comp != 1 {
-		t.Fatalf("approx cold counters = %d/%d, want 0/1", dh, comp)
-	}
-
-	// 2. Exact run over the same bytes and store: must recompute — the
-	// approx entry must not be served where an exact profile was asked.
-	pe := NewProfiler(1).SetStore(store) // ModeExact is the zero value
-	exact, err := pe.Column(db, "songs", "title")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dh, comp := pe.DiskCounters(); dh != 0 || comp != 1 {
-		t.Errorf("exact-after-approx counters = %d disk hits / %d computes, want 0/1 (approx entry warmed the exact cache)", dh, comp)
-	}
-	if exact.Approx != nil {
-		t.Error("exact profile carries Approx marker after approx run")
-	}
-	if store.len() != 2 {
-		t.Errorf("store entries = %d, want 2 (one per mode)", store.len())
-	}
-
-	// 3. Same-mode reruns on fresh profilers are disk hits in both modes.
-	pa2 := NewProfiler(1).SetStore(store).SetMode(ModeApprox)
-	warmApprox, err := pa2.Column(db, "songs", "title")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dh, comp := pa2.DiskCounters(); dh != 1 || comp != 0 {
-		t.Errorf("approx warm counters = %d/%d, want 1/0", dh, comp)
-	}
-	if !reflect.DeepEqual(approx, warmApprox) {
-		t.Error("approx profile changed through the store round trip")
-	}
-	pe2 := NewProfiler(1).SetStore(store)
-	if _, err := pe2.Column(db, "songs", "title"); err != nil {
-		t.Fatal(err)
-	}
-	if dh, comp := pe2.DiskCounters(); dh != 1 || comp != 0 {
-		t.Errorf("exact warm counters = %d/%d, want 1/0", dh, comp)
-	}
-
-	// 4. The exported key derivations agree and separate the modes.
-	col, _ := db.Schema.Table("songs").Column("title")
-	ek, ok := StatsKeyFor(db, "songs", "title", col.Type, false, ModeExact)
-	if !ok {
-		t.Fatal("StatsKeyFor failed for a known table")
-	}
-	ak, ok := StatsKeyFor(db, "songs", "title", col.Type, false, ModeApprox)
-	if !ok {
-		t.Fatal("StatsKeyFor(approx) failed for a known table")
-	}
-	if ek == ak {
-		t.Error("exact and approx stats keys collide")
-	}
-	for _, k := range []string{ek, ak} {
-		if _, ok := store.Get(k); !ok {
-			t.Errorf("derived key %s not present in the store", k)
-		}
-	}
-}
-
 func TestFaultStoreErrorsAreNeverPersisted(t *testing.T) {
 	defer faultinject.Reset()
 	db := profilerDB(t)
@@ -285,5 +207,46 @@ func TestFaultStoreErrorsAreNeverPersisted(t *testing.T) {
 	}
 	if store.len() != 1 {
 		t.Errorf("store entries = %d, want 1 after recovery", store.len())
+	}
+}
+
+// keyRecorder is a Store that records the keys the Profiler writes.
+type keyRecorder struct {
+	mu   sync.Mutex
+	puts []string
+}
+
+func (s *keyRecorder) Get(string) ([]byte, bool) { return nil, false }
+
+func (s *keyRecorder) Put(key string, _ []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.puts = append(s.puts, key)
+}
+
+// TestStatsKeysPinned pins the durable stats keys the Profiler writes for
+// a raw lookup and for a coerced lookup (an integer column viewed as
+// strings, which first stores the column's raw profile). The keys are
+// content addresses shared by every process over the same cache
+// directory: a change that moves one turns every existing cache cold,
+// and has to say so and update these constants.
+func TestStatsKeysPinned(t *testing.T) {
+	const (
+		rawTitle    = "926d5c9d1af239bff5c237ba82ee194251a1a3006eeb1a8b1955a06c7681a4b0"
+		rawLength   = "dc997b774d3201ba891e40e133577c3ffac9b2f357173197f88a16cfbc4c7482"
+		coercedView = "bea22c477c1712be64f96d285f19113ba2854807a7017718dc3c45a6a5451d03"
+	)
+	db := profilerDB(t)
+	rec := &keyRecorder{}
+	p := NewProfiler(1).SetStore(rec)
+	if _, err := p.Column(db, "songs", "title"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.ColumnCoerced(db, "songs", "length", relational.String); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{rawTitle, rawLength, coercedView}
+	if !reflect.DeepEqual(rec.puts, want) {
+		t.Errorf("stored keys = %q, want the pinned %q", rec.puts, want)
 	}
 }
