@@ -26,6 +26,7 @@ import (
 	"efes/internal/experiments"
 	"efes/internal/mapping"
 	"efes/internal/match"
+	"efes/internal/persist"
 	"efes/internal/profile"
 	"efes/internal/relational"
 	"efes/internal/scenario"
@@ -551,6 +552,53 @@ func BenchmarkLoadDirLarge(b *testing.B) {
 			if err := relational.NewDatabase(s).LoadDir(fmt.Sprintf("%s/%d", dir, j)); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkScenarioHash content-addresses the paper-scale running
+// example as efesd addresses an upload: persist.ScenarioHash over
+// databases loaded through LoadDir, so every table is hashed from the
+// vectors ReadCSV built. ContentHash memoizes per table, so each
+// iteration hashes a fresh load; the loads are not timed. MB/s counts
+// the CSV bytes hashed.
+func BenchmarkScenarioHash(b *testing.B) {
+	scn := scenario.MusicExample(scenario.PaperExampleConfig())
+	dir := b.TempDir()
+	dbs := []*relational.Database{scn.Target, scn.Sources[0].DB}
+	var csvBytes int64
+	for i, db := range dbs {
+		sub := fmt.Sprintf("%s/%d", dir, i)
+		if err := db.SaveDir(sub); err != nil {
+			b.Fatal(err)
+		}
+		for _, t := range db.Schema.Tables() {
+			fi, err := os.Stat(filepath.Join(sub, t.Name+".csv"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			csvBytes += fi.Size()
+		}
+	}
+	load := func(i int) *relational.Database {
+		db := relational.NewDatabase(dbs[i].Schema)
+		if err := db.LoadDir(fmt.Sprintf("%s/%d", dir, i)); err != nil {
+			b.Fatal(err)
+		}
+		return db
+	}
+	b.SetBytes(csvBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		loaded := *scn
+		loaded.Target = load(0)
+		src := *scn.Sources[0]
+		src.DB = load(1)
+		loaded.Sources = []*core.Source{&src}
+		b.StartTimer()
+		if _, err := persist.ScenarioHash(&loaded); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -11,7 +11,16 @@ import (
 	"efes/internal/scenario"
 )
 
+// dupScenario holds two spellings of one artist in the source and the
+// same artist in the target.
 func dupScenario(t *testing.T) *core.Scenario {
+	return artistScenario(t,
+		[][]relational.Value{{1, "Macy Gray"}, {2, "macy  gray"}, {3, "Leona Lewis"}}, // the second normalizes onto the first
+		[][]relational.Value{{10, "Macy Gray"}, {11, "2Face Idibia"}})                 // a cross-database duplicate
+}
+
+// artistScenario integrates a source table of artists into a target one.
+func artistScenario(t *testing.T, srcRows, tgtRows [][]relational.Value) *core.Scenario {
 	t.Helper()
 	s := relational.NewSchema("x")
 	s.MustAddTable(relational.MustTable("artists",
@@ -19,13 +28,13 @@ func dupScenario(t *testing.T) *core.Scenario {
 		relational.Column{Name: "name", Type: relational.String},
 	))
 	s.MustAddConstraint(relational.PrimaryKey{Table: "artists", Columns: []string{"id"}})
-	src := relational.NewDatabase(s)
-	src.MustInsert("artists", 1, "Macy Gray")
-	src.MustInsert("artists", 2, "macy  gray") // normalizes onto the first
-	src.MustInsert("artists", 3, "Leona Lewis")
-	tgt := relational.NewDatabase(s)
-	tgt.MustInsert("artists", 10, "Macy Gray") // cross-database duplicate
-	tgt.MustInsert("artists", 11, "2Face Idibia")
+	src, tgt := relational.NewDatabase(s), relational.NewDatabase(s)
+	for _, r := range srcRows {
+		src.MustInsert("artists", r...)
+	}
+	for _, r := range tgtRows {
+		tgt.MustInsert("artists", r...)
+	}
 	corr := &match.Set{}
 	corr.Table("artists", "artists")
 	corr.Attr("artists", "id", "artists", "id")
@@ -101,10 +110,10 @@ func TestPlanQualityDependence(t *testing.T) {
 }
 
 func TestNoDuplicatesNoTasks(t *testing.T) {
-	scn := dupScenario(t)
-	// Remove the duplicates.
-	scn.Sources[0].DB.Delete("artists", 1)
-	scn.Target.Delete("artists", 0)
+	// dupScenario without its duplicates.
+	scn := artistScenario(t,
+		[][]relational.Value{{1, "Macy Gray"}, {3, "Leona Lewis"}},
+		[][]relational.Value{{11, "2Face Idibia"}})
 	m := New()
 	rep, err := m.AssessComplexity(scn)
 	if err != nil {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"efes/internal/effort"
+	"efes/internal/match"
 	"efes/internal/persist"
 	"efes/internal/relational"
 	"efes/internal/scenario"
@@ -175,6 +177,64 @@ func FuzzUploadRequest(f *testing.F) {
 		}
 		if got := s.panics.Load(); got != panics {
 			t.Errorf("panics %d -> %d", panics, got)
+		}
+	})
+}
+
+// FuzzMatchRequest sends arbitrary bodies to /v1/match on one server
+// (the small music example uploaded). Every answer must be a 200, 400,
+// 404 or 413, and no request may panic; a 200 must carry the
+// correspondences that matching the source the body names against the
+// target finds in process. Afterwards a canonical request must still
+// get its recorded bytes. Seeds in testdata/fuzz/FuzzMatchRequest.
+func FuzzMatchRequest(f *testing.F) {
+	s, ts := newTestServer(f, Config{})
+	uploadMusic(f, ts.URL, nil)
+	type matchResponse struct {
+		Count int    `json:"count"`
+		Text  string `json:"text"`
+	}
+	ref := make(map[string]matchResponse)
+	scn := scenario.MusicExample(scenario.SmallExampleConfig())
+	for _, src := range scn.Sources {
+		set := match.NewMatcher().Match(src.DB, scn.Target)
+		var text strings.Builder
+		if err := set.WriteText(&text); err != nil {
+			f.Fatal(err)
+		}
+		ref[src.Name] = matchResponse{len(set.All), text.String()}
+	}
+	canonicalBody, _ := json.Marshal(matchRequest{Scenario: musicName, Source: scn.Sources[0].Name})
+	resp, canonical := post(f, ts.URL+"/v1/match", canonicalBody, nil)
+	if resp.StatusCode != http.StatusOK {
+		f.Fatalf("canonical match: status %d: %s", resp.StatusCode, canonical)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		panics := s.panics.Load()
+		resp, data := post(t, ts.URL+"/v1/match", body, nil)
+		// The server decodes exactly what json.Unmarshal accepts.
+		var req matchRequest
+		decoded := json.Unmarshal(body, &req) == nil
+		switch resp.StatusCode {
+		case http.StatusOK:
+			var got matchResponse
+			switch want, known := ref[req.Source]; {
+			case !decoded || req.Scenario != musicName || !known:
+				t.Errorf("200 for a body the server should refuse: %q", body)
+			case json.Unmarshal(data, &got) != nil || got != want:
+				t.Errorf("match of %q differs from the in-process match:\n%s", req.Source, data)
+			}
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
+		default:
+			t.Errorf("status %d: %s", resp.StatusCode, data)
+		}
+		if got := s.panics.Load(); got != panics {
+			t.Errorf("panics %d -> %d", panics, got)
+		}
+		resp, data = post(t, ts.URL+"/v1/match", canonicalBody, nil)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(data, canonical) {
+			t.Fatalf("after %q a canonical match got status %d and other bytes:\n%s", body, resp.StatusCode, data)
 		}
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strings"
 )
 
@@ -19,6 +21,9 @@ import (
 func ParseText(r io.Reader) (*Set, error) {
 	set := &Set{}
 	sc := bufio.NewScanner(r)
+	// No line limit: WriteText writes a line longer than the one it was
+	// parsed from, and must read back.
+	sc.Buffer(nil, math.MaxInt)
 	lineno := 0
 	for sc.Scan() {
 		lineno++
@@ -42,6 +47,12 @@ func ParseText(r io.Reader) (*Set, error) {
 		tgtParts := strings.SplitN(tgt, ".", 2)
 		if len(srcParts) != len(tgtParts) {
 			return nil, fmt.Errorf("match: line %d: cannot mix table and attribute correspondence in %q", lineno, line)
+		}
+		// An empty name would render as another correspondence, or as
+		// none: ". -> ." parses to empty attributes, which WriteText
+		// writes as the table correspondence " -> ".
+		if slices.Contains(srcParts, "") || slices.Contains(tgtParts, "") {
+			return nil, fmt.Errorf("match: line %d: empty name in %q", lineno, line)
 		}
 		if len(srcParts) == 1 {
 			set.Table(srcParts[0], tgtParts[0])

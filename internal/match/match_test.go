@@ -385,3 +385,48 @@ func TestParseTextErrors(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseText: ParseText never panics, and the rendering (WriteText)
+// of a set it accepts parses back to the same rendering. Seeds in
+// testdata/fuzz/FuzzParseText.
+func FuzzParseText(f *testing.F) {
+	render := func(t *testing.T, set *Set) string {
+		var b strings.Builder
+		if err := set.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		set, err := ParseText(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		first := render(t, set)
+		again, err := ParseText(strings.NewReader(first))
+		if err != nil {
+			t.Fatalf("rendering %q of %q does not parse: %v", first, text, err)
+		}
+		if second := render(t, again); second != first {
+			t.Fatalf("rendering of %q: %q, parsed back as %q", text, first, second)
+		}
+	})
+}
+
+// TestParseTextLongLine: a line of any length parses, and so does its
+// rendering, which is longer: WriteText puts spaces around the arrow.
+func TestParseTextLongLine(t *testing.T) {
+	text := strings.Repeat("x", 65532) + "->y\n"
+	set, err := ParseText(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := set.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	again, err := ParseText(strings.NewReader(b.String()))
+	if err != nil || len(again.All) != 1 || again.All[0] != set.All[0] {
+		t.Fatalf("rendering parsed back as %v, %v", again, err)
+	}
+}

@@ -16,9 +16,9 @@ import (
 // 1e16-magnitude values, and unicode strings are profiled through both
 // paths — raw and through every coercion target — and every float is
 // compared by bit pattern. This file holds the generators, the
-// comparison, the property grid at one worker and the mutation test;
-// shard_test.go runs the grid at more workers and adds multi-chunk
-// columns.
+// comparison, the property grid at one worker and the test of inserts
+// after a first profile; shard_test.go runs the grid at more workers and
+// adds multi-chunk columns.
 
 var allTypes = []relational.Type{
 	relational.String, relational.Integer, relational.Float, relational.Bool, relational.Time,
@@ -231,32 +231,22 @@ func TestKernelsBitIdenticalToRowPath(t *testing.T) {
 	checkGridAgainstRowPath(t, []int{1})
 }
 
-// TestKernelsAfterMutations exercises the incremental maintenance path:
-// vectors are materialized first, then the instance is mutated through
-// Insert/Update/Delete, and the kernels must still agree with the row
-// path bit for bit, for every type and worker count.
+// TestKernelsAfterMutations profiles a column, inserts into it, and
+// profiles it again: the inserts intern new strings into a sealed
+// dictionary and extend the typed vectors and the null bitmap in place,
+// and the kernels must still agree with the row path bit for bit, for
+// every type and worker count.
 func TestKernelsAfterMutations(t *testing.T) {
 	for seed := int64(10); seed <= 13; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, typ := range allTypes {
 			db := randomDB(t, rng, typ, 120)
-			if db.Vector("t", "c") == nil { // materialize before mutating
-				t.Fatal("Vector returned nil")
+			for _, workers := range shardWorkerCounts {
+				FromVectorSharded("t", "c", db.Vector("t", "c"), workers)
 			}
+			db.Vector("t", "c").SortedDistinct()
 			for step := 0; step < 60; step++ {
-				n := db.NumRows("t")
-				switch op := rng.Intn(4); {
-				case op == 0 || n == 0:
-					db.MustInsert("t", randomValue(rng, typ))
-				case op == 1:
-					if err := db.Update("t", rng.Intn(n), "c", randomValue(rng, typ)); err != nil {
-						t.Fatalf("Update: %v", err)
-					}
-				case op == 2:
-					db.Delete("t", rng.Intn(n))
-				default:
-					db.Delete("t", rng.Intn(n), rng.Intn(n), n+5) // dups and out-of-range are ignored
-				}
+				db.MustInsert("t", randomValue(rng, typ))
 			}
 			values := db.MustColumn("t", "c")
 			vec := db.Vector("t", "c")

@@ -554,9 +554,6 @@ func stringKernelDictSharded(cs *ColumnStats, strs []string, occ []int, codes []
 		var buf []byte
 		for c := lo; c < hi; c++ {
 			n := occ[c]
-			if n == 0 {
-				continue // dead dictionary entry
-			}
 			p.distinct++
 			p.mult[n]++
 			p.tk.considerString(n, strs[c])
@@ -677,9 +674,6 @@ func coercedFromStringSharded(table, column string, vec *relational.ColumnVector
 		shardRun(dictChunks, workers, func(k int) {
 			lo, hi := chunkSpan(k, len(dict))
 			for c := lo; c < hi; c++ {
-				if occ[c] == 0 {
-					continue
-				}
 				n, err := relational.ParseInt(dict[c])
 				if err != nil {
 					bad[k] += occ[c]
@@ -696,7 +690,7 @@ func coercedFromStringSharded(table, column string, vec *relational.ColumnVector
 			lo, hi := chunkSpan(k, len(dict))
 			cnt := make(map[int64]int)
 			for c := lo; c < hi; c++ {
-				if occ[c] > 0 && ok[c] {
+				if ok[c] {
 					cnt[vals[c]] += occ[c]
 				}
 			}
@@ -717,9 +711,6 @@ func coercedFromStringSharded(table, column string, vec *relational.ColumnVector
 		shardRun(dictChunks, workers, func(k int) {
 			lo, hi := chunkSpan(k, len(dict))
 			for c := lo; c < hi; c++ {
-				if occ[c] == 0 {
-					continue
-				}
 				f, err := relational.ParseFloat(dict[c])
 				if err != nil {
 					bad[k] += occ[c]
@@ -736,7 +727,7 @@ func coercedFromStringSharded(table, column string, vec *relational.ColumnVector
 			lo, hi := chunkSpan(k, len(dict))
 			cnt := make(map[uint64]int)
 			for c := lo; c < hi; c++ {
-				if occ[c] > 0 && ok[c] {
+				if ok[c] {
 					cnt[floatKey(vals[c])] += occ[c]
 				}
 			}
@@ -757,9 +748,6 @@ func coercedFromStringSharded(table, column string, vec *relational.ColumnVector
 		shardRun(dictChunks, workers, func(k int) {
 			lo, hi := chunkSpan(k, len(dict))
 			for c := lo; c < hi; c++ {
-				if occ[c] == 0 {
-					continue
-				}
 				b, err := relational.ParseBool(dict[c])
 				if err != nil {
 					bad[k] += occ[c]
@@ -773,7 +761,7 @@ func coercedFromStringSharded(table, column string, vec *relational.ColumnVector
 		nonNull := cs.Rows - cs.Nulls
 		nTrue, nFalse := 0, 0
 		for c := range dict {
-			if occ[c] == 0 || !ok[c] {
+			if !ok[c] {
 				continue
 			}
 			if vals[c] {
@@ -796,9 +784,6 @@ func coercedFromStringSharded(table, column string, vec *relational.ColumnVector
 		shardRun(dictChunks, workers, func(k int) {
 			lo, hi := chunkSpan(k, len(dict))
 			for c := lo; c < hi; c++ {
-				if occ[c] == 0 {
-					continue
-				}
 				ts, err := relational.ParseTime(dict[c])
 				if err != nil {
 					bad[k] += occ[c]
@@ -815,7 +800,7 @@ func coercedFromStringSharded(table, column string, vec *relational.ColumnVector
 			lo, hi := chunkSpan(k, len(dict))
 			cnt := make(map[string]int)
 			for c := lo; c < hi; c++ {
-				if occ[c] > 0 && ok[c] {
+				if ok[c] {
 					cnt[strs[c]] += occ[c]
 				}
 			}

@@ -15,7 +15,7 @@ import (
 // FromVectorCoercedSharded, then add multi-chunk columns (>
 // relational.ChunkSize rows, and > ChunkSize distinct values for the
 // dictionary-sharded string kernel) that the small grid cannot reach,
-// plus mutation sequences that cross chunk boundaries.
+// plus inserts that cross the chunk boundary after a first profile.
 
 var shardWorkerCounts = []int{1, 2, 3, 8}
 
@@ -105,34 +105,21 @@ func TestShardedMultiChunkDictionary(t *testing.T) {
 	}
 }
 
-// TestShardedAfterMutations mutates a multi-chunk column through the
-// incremental maintenance path — including deletes that shift rows
-// across the chunk boundary — and requires the sharded kernels to agree
-// with the row path bit for bit afterwards.
+// TestShardedAfterMutations profiles a column just short of the chunk
+// boundary, inserts across it, and requires the sharded kernels to
+// agree with the row path bit for bit afterwards, for every type.
 func TestShardedAfterMutations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-chunk columns are slow to build")
 	}
 	rng := rand.New(rand.NewSource(99))
-	for _, typ := range []relational.Type{relational.Integer, relational.String} {
-		db := randomDB(t, rng, typ, relational.ChunkSize+300)
-		if db.Vector("t", "c") == nil {
-			t.Fatal("Vector returned nil")
+	for _, typ := range allTypes {
+		db := randomDB(t, rng, typ, relational.ChunkSize-150)
+		for _, workers := range shardWorkerCounts {
+			FromVectorSharded("t", "c", db.Vector("t", "c"), workers)
 		}
-		for step := 0; step < 25; step++ {
-			n := db.NumRows("t")
-			switch op := rng.Intn(4); {
-			case op == 0 || n == 0:
-				db.MustInsert("t", randomValue(rng, typ))
-			case op == 1:
-				if err := db.Update("t", rng.Intn(n), "c", randomValue(rng, typ)); err != nil {
-					t.Fatalf("Update: %v", err)
-				}
-			case op == 2:
-				db.Delete("t", rng.Intn(n))
-			default:
-				db.Delete("t", relational.ChunkSize-2+rng.Intn(5)) // straddle the boundary
-			}
+		for step := 0; step < 300; step++ {
+			db.MustInsert("t", randomValue(rng, typ))
 		}
 		values := db.MustColumn("t", "c")
 		vec := db.Vector("t", "c")

@@ -2,15 +2,19 @@ package relational
 
 // Column-first ingest against the row path it replaced. ReadCSV decodes
 // straight into column vectors; readCSVRows below is the old row-building
-// body, kept as the oracle: it decodes with encoding/csv and Coerce,
-// stages Rows, and commits them with Insert. vectorsFromRows is the old
-// vector build (one appendValue per cell). A column-first load must agree
-// with both byte for byte: error text, rows, every vector field, hash.
-// Both builds intern through the same dictionary index, so a string
-// column is also checked against refDict (dict_test.go), which does not.
+// body, kept as the oracle: it decodes with encoding/csv and Coerce and
+// returns the rows. vectorsFromRows is Insert's vector build (one
+// pushValue per cell onto vectors sealed while empty). A column-first
+// load must agree with both byte for byte: error text, rows, every
+// vector field, and a hash over the encoding/csv rendering of the rows
+// (oracleCSV). Both builds intern through the same dictionary index, so
+// a string column is also checked against refDict (dict_test.go), which
+// does not.
 
 import (
+	"crypto/sha256"
 	"encoding/csv"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -20,31 +24,28 @@ import (
 	"time"
 )
 
-// readCSVRows is the row-path oracle of ReadCSV.
-func readCSVRows(db *Database, table string, r io.Reader) error {
-	t := db.Schema.Table(table)
-	if t == nil {
-		return fmt.Errorf("relational: unknown table %s", table)
-	}
+// readCSVRows is the row-path oracle of ReadCSV: the rows a load of r
+// into table t appends, or the error it fails with.
+func readCSVRows(t *Table, r io.Reader) ([]Row, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(t.Columns)
 	header, err := cr.Read()
 	if err != nil {
-		return fmt.Errorf("relational: read csv for %s: %w", table, err)
+		return nil, fmt.Errorf("relational: read csv for %s: %w", t.Name, err)
 	}
 	for i, name := range header {
 		if name != t.Columns[i].Name {
-			return fmt.Errorf("relational: csv header mismatch for %s: got %q, want %q", table, name, t.Columns[i].Name)
+			return nil, fmt.Errorf("relational: csv header mismatch for %s: got %q, want %q", t.Name, name, t.Columns[i].Name)
 		}
 	}
-	var staged []Row
+	var rows []Row
 	for {
 		record, err := cr.Read()
 		if err == io.EOF {
-			break
+			return rows, nil
 		}
 		if err != nil {
-			return fmt.Errorf("relational: read csv for %s: %w", table, err)
+			return nil, fmt.Errorf("relational: read csv for %s: %w", t.Name, err)
 		}
 		row := make(Row, len(record))
 		for i, field := range record {
@@ -54,23 +55,45 @@ func readCSVRows(db *Database, table string, r io.Reader) error {
 			cv, cerr := Coerce(t.Columns[i].Type, field)
 			if cerr != nil {
 				line, _ := cr.FieldPos(i)
-				return fmt.Errorf("relational: csv for %s: line %d, column %s: %w", table, line, t.Columns[i].Name, cerr)
+				return nil, fmt.Errorf("relational: csv for %s: line %d, column %s: %w", t.Name, line, t.Columns[i].Name, cerr)
 			}
 			row[i] = cv
 		}
-		staged = append(staged, row)
+		rows = append(rows, row)
 	}
-	for _, row := range staged {
-		if err := db.Insert(table, row...); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// vectorsFromRows is the row-first vector build: one appendValue per
-// cell, stamping and invalidating as it goes, onto vectors sealed while
-// empty, as Insert appends to the vectors of a table built before it.
+// oracleCSV renders rows of table t through encoding/csv.Writer over
+// FormatValue: the bytes WriteCSV must write. A record whose only field
+// is empty is written as "", since the writer would write an empty line.
+func oracleCSV(t *Table, rows []Row) string {
+	var b strings.Builder
+	cw := csv.NewWriter(&b)
+	cw.Write(t.ColumnNames())
+	record := make([]string, len(t.Columns))
+	for _, row := range rows {
+		for i, v := range row {
+			record[i] = FormatValue(v)
+		}
+		if len(record) == 1 && record[0] == "" {
+			cw.Flush()
+			b.WriteString("\"\"\n")
+			continue
+		}
+		cw.Write(record)
+	}
+	cw.Flush()
+	return b.String()
+}
+
+// oracleHash is the content hash of rows of table t.
+func oracleHash(t *Table, rows []Row) string {
+	sum := sha256.Sum256([]byte(oracleCSV(t, rows)))
+	return hex.EncodeToString(sum[:])
+}
+
+// vectorsFromRows is Insert's vector build: one pushValue per cell onto
+// vectors sealed while empty.
 func vectorsFromRows(t *Table, rows []Row) []*ColumnVector {
 	vs := make([]*ColumnVector, len(t.Columns))
 	for i, c := range t.Columns {
@@ -79,7 +102,7 @@ func vectorsFromRows(t *Table, rows []Row) []*ColumnVector {
 	}
 	for _, row := range rows {
 		for i := range vs {
-			vs[i].appendValue(row[i])
+			vs[i].pushValue(row[i])
 		}
 	}
 	return vs
@@ -152,10 +175,9 @@ func assertSameRows(t *testing.T, got, want []Row) {
 }
 
 // assertSameVector compares every field of two vectors: shape, the
-// dictionary with its counts and codes, the null bitmap, the typed
-// payload, and the chunk stamps with their epoch. The dictionary index is
-// compared by what it answers: every entry of either vector resolves to
-// its own code.
+// dictionary with its counts and codes, the null bitmap and the typed
+// payload. The dictionary index is compared by what it answers: every
+// entry of either vector resolves to its own code.
 func assertSameVector(t *testing.T, name string, got, want *ColumnVector) {
 	t.Helper()
 	fail := func(field string, g, w any) {
@@ -191,9 +213,6 @@ func assertSameVector(t *testing.T, name string, got, want *ColumnVector) {
 	if !equalSlices(got.times, want.times, func(a, b time.Time) bool { return sameCell(a, b) }) {
 		fail("times", got.times, want.times)
 	}
-	if !equalSlices(got.chunkStamps, want.chunkStamps, func(a, b uint64) bool { return a == b }) || got.stampEpoch != want.stampEpoch {
-		fail("chunk stamps/epoch", fmt.Sprint(got.chunkStamps, got.stampEpoch), fmt.Sprint(want.chunkStamps, want.stampEpoch))
-	}
 }
 
 func equalSlices[T any](a, b []T, eq func(T, T) bool) bool {
@@ -221,22 +240,24 @@ func allTypesSchema() *Schema {
 	return s
 }
 
-// assertLoadsAgree loads input into a column-first and an oracle
-// database and compares the outcome: the error text, the untouched
-// state on failure, and otherwise hash, vectors and rows, in an order
-// that checks that hashing builds no rows.
-func assertLoadsAgree(t *testing.T, db, oracle *Database, table, input string) {
+// assertLoadsAgree loads input into db and decodes it with the row-path
+// oracle, which appends the rows it decodes to *want, and compares the
+// outcome: the error text, the untouched state on failure, and otherwise
+// hash, vectors and rows against *want, in an order that checks that
+// hashing builds no rows.
+func assertLoadsAgree(t *testing.T, db *Database, want *[]Row, table, input string) {
 	t.Helper()
-	assertLoadsAgreeBatched(t, db, oracle, table, input, csvBatchRows)
+	assertLoadsAgreeBatched(t, db, want, table, input, csvBatchRows)
 }
 
 // assertLoadsAgreeBatched is assertLoadsAgree with the string fields
 // interned in batches of batchRows records.
-func assertLoadsAgreeBatched(t *testing.T, db, oracle *Database, table, input string, batchRows int) {
+func assertLoadsAgreeBatched(t *testing.T, db *Database, want *[]Row, table, input string, batchRows int) {
 	t.Helper()
+	tab := db.Schema.Table(table)
 	before, views := mustHash(t, db, table), snapshotViews(db, table)
 	err := db.readCSV(table, strings.NewReader(input), batchRows)
-	werr := readCSVRows(oracle, table, strings.NewReader(input))
+	rows, werr := readCSVRows(tab, strings.NewReader(input))
 	if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
 		t.Fatalf("ReadCSV error %v, row path %v", err, werr)
 	}
@@ -246,25 +267,25 @@ func assertLoadsAgreeBatched(t *testing.T, db, oracle *Database, table, input st
 		}
 		return
 	}
-	if h, w := mustHash(t, db, table), mustHash(t, oracle, table); h != w {
+	*want = append(*want, rows...)
+	if h, w := mustHash(t, db, table), oracleHash(tab, *want); h != w {
 		t.Fatalf("ContentHash = %s, row path %s", h, w)
 	}
 	if rows, _ := builtViews(db, table); rows {
 		t.Fatal("ReadCSV or ContentHash built the row view")
 	}
-	tab := db.Schema.Table(table)
-	want := vectorsFromRows(tab, oracle.Rows(table))
+	wantVecs := vectorsFromRows(tab, *want)
 	for i, v := range db.Vectors(table) {
 		if v.Type() == String {
 			ref := newRefDict()
-			for _, row := range oracle.Rows(table) {
+			for _, row := range *want {
 				ref.add(row[i])
 			}
 			assertDictMatches(t, tab.Columns[i].Name, v, ref)
 		}
-		assertSameVector(t, tab.Columns[i].Name, v, want[i])
+		assertSameVector(t, tab.Columns[i].Name, v, wantVecs[i])
 	}
-	assertSameRows(t, db.Rows(table), oracle.Rows(table))
+	assertSameRows(t, db.Rows(table), *want)
 }
 
 // FuzzReadCSV loads first and then appends second (when non-empty) to
@@ -275,17 +296,17 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("s,i,f,b,ts\nQueen,1,9.5,true,1975-10-31\n", "")
 	f.Fuzz(func(t *testing.T, first, second string) {
 		s := allTypesSchema()
-		db, oracle := NewDatabase(s), NewDatabase(s)
-		assertLoadsAgree(t, db, oracle, "t", first)
+		db, want := NewDatabase(s), []Row(nil)
+		assertLoadsAgree(t, db, &want, "t", first)
 		if second != "" {
-			assertLoadsAgree(t, db, oracle, "t", second)
+			assertLoadsAgree(t, db, &want, "t", second)
 		}
-		assertLoadsAgreeBatched(t, NewDatabase(s), NewDatabase(s), "t", first, 1+len(first)%3)
+		assertLoadsAgreeBatched(t, NewDatabase(s), new([]Row), "t", first, 1+len(first)%3)
 	})
 }
 
-// TestReadCSVChunkStamps loads past two chunk boundaries, with NULLs
-// and a new dictionary entry at each, so seal's stamps meet appendValue's.
+// TestReadCSVChunkStamps loads past two profiling chunk boundaries,
+// with NULLs and a new dictionary entry at each.
 func TestReadCSVChunkStamps(t *testing.T) {
 	s := NewSchema("chunks")
 	s.MustAddTable(MustTable("t", Column{Name: "n", Type: Integer}, Column{Name: "s", Type: String}))
@@ -299,86 +320,55 @@ func TestReadCSVChunkStamps(t *testing.T) {
 			fmt.Fprintf(&b, "%d,v%d\n", i, i%5)
 		}
 	}
-	db, oracle := NewDatabase(s), NewDatabase(s)
-	assertLoadsAgree(t, db, oracle, "t", b.String())
-	if v := db.Vector("t", "n"); v.Chunks() != 3 || v.ChunkStamp(0) != ChunkSize || v.ChunkStamp(2) != 2*ChunkSize+3 {
-		t.Errorf("chunks %d, stamps %d/%d", v.Chunks(), v.ChunkStamp(0), v.ChunkStamp(2))
-	}
+	assertLoadsAgree(t, NewDatabase(s), new([]Row), "t", b.String())
 }
 
-// TestReadCSVAppendAfterMutations appends a CSV to a column-first table
-// whose vectors were mutated in place (dead dictionary entries, moved
-// stamps): the result is a fresh build over old and new rows.
+// TestReadCSVAppendAfterMutations appends a CSV to a loaded table that
+// Inserts extended after the load: its dictionary ends in entries
+// appended after seal, through a rebuilt index. The result is a fresh
+// build over old and new rows.
 func TestReadCSVAppendAfterMutations(t *testing.T) {
 	s := allTypesSchema()
-	db, oracle := NewDatabase(s), NewDatabase(s)
+	db, want := NewDatabase(s), []Row(nil)
 	const first = "s,i,f,b,ts\na,1,1.5,true,2015-03-23\nb,2,,false,\na,3,NaN,,2015-03-23 10:00:00\nc,,-0,true,\n"
-	assertLoadsAgree(t, db, oracle, "t", first)
-	for _, d := range []*Database{db, oracle} {
-		if err := d.Update("t", 0, "s", "z"); err != nil {
-			t.Fatal(err)
-		}
-		d.Delete("t", 1)
-		d.MustInsert("t", "a", int64(4), nil, nil, nil)
+	assertLoadsAgree(t, db, &want, "t", first)
+	for _, r := range []Row{{"z", int64(4), nil, nil, nil}, {"a", nil, 2.5, false, nil}, {nil, int64(5), nil, true, nil}} {
+		db.MustInsert("t", r...)
+		want = append(want, r)
 	}
-	assertLoadsAgree(t, db, oracle, "t", "s,i,f,b,ts\nb,5,2.5,false,2016-01-01T00:00:00+02:00\nz,,,,\n")
+	assertLoadsAgree(t, db, &want, "t", "s,i,f,b,ts\nb,5,2.5,false,2016-01-01T00:00:00+02:00\nz,,,,\n")
 }
 
-// TestColumnFirstMutationsKeepViewsAligned mutates a column-first table
-// through the row API: the rows are derived on first use, and both views
-// are maintained from then on, as for a row-first table.
+// TestColumnFirstMutationsKeepViewsAligned inserts into a loaded table
+// after its row view was derived: the Insert drops the view, the next
+// Rows call derives it again, and rows, vectors, hash and a clone agree.
 func TestColumnFirstMutationsKeepViewsAligned(t *testing.T) {
 	s := allTypesSchema()
-	db, oracle := NewDatabase(s), NewDatabase(s)
-	assertLoadsAgree(t, db, oracle, "t", "s,i,f,b,ts\nx,1,0.5,true,2015-03-23\ny,2,,false,\nx,,1e300,,\n")
-	for _, d := range []*Database{db, oracle} {
-		d.MustInsert("t", "w", int64(9), 2.5, true, nil)
-		if err := d.Update("t", 1, "i", int64(7)); err != nil {
-			t.Fatal(err)
+	db, want := NewDatabase(s), []Row(nil)
+	assertLoadsAgree(t, db, &want, "t", "s,i,f,b,ts\nx,1,0.5,true,2015-03-23\ny,2,,false,\nx,,1e300,,\n")
+	for _, r := range []Row{{"w", int64(9), 2.5, true, nil}, {"x", int64(7), nil, nil, time.Date(2015, 3, 24, 0, 0, 0, 0, time.UTC)}} {
+		db.MustInsert("t", r...)
+		want = append(want, r)
+		if rows, vecs := builtViews(db, "t"); rows || !vecs {
+			t.Fatalf("after Insert: rows built %v, vectors built %v; want vectors only", rows, vecs)
 		}
-		d.Delete("t", 0)
+		assertSameRows(t, db.Rows("t"), want)
 	}
-	if rows, vecs := builtViews(db, "t"); !rows || !vecs {
-		t.Fatalf("after mutations: rows built %v, vectors built %v; want both", rows, vecs)
-	}
-	assertSameRows(t, db.Rows("t"), oracle.Rows("t"))
 	tab := s.Table("t")
+	wantVecs := vectorsFromRows(tab, want)
 	for i, v := range db.Vectors("t") {
-		w := oracle.Vectors("t")[i]
-		if v.Len() != w.Len() || v.NullCount() != w.NullCount() || !equalSlices(v.SortedDistinct(), w.SortedDistinct(), func(a, b string) bool { return a == b }) {
-			t.Errorf("%s: vector diverged from the row-first oracle", tab.Columns[i].Name)
-		}
-		for r := 0; r < v.Len(); r++ {
-			if !sameCell(v.Value(r), db.Rows("t")[r][i]) {
-				t.Errorf("%s row %d: vector %v, row %v", tab.Columns[i].Name, r, v.Value(r), db.Rows("t")[r][i])
-			}
+		assertSameVector(t, tab.Columns[i].Name, v, wantVecs[i])
+		if !equalSlices(v.SortedDistinct(), wantVecs[i].SortedDistinct(), func(a, b string) bool { return a == b }) {
+			t.Errorf("%s: SortedDistinct %v, want %v", tab.Columns[i].Name, v.SortedDistinct(), wantVecs[i].SortedDistinct())
 		}
 	}
-	if h, w := mustHash(t, db, "t"), mustHash(t, oracle, "t"); h != w {
-		t.Errorf("ContentHash after mutations = %s, oracle %s", h, w)
+	if h, w := mustHash(t, db, "t"), oracleHash(tab, want); h != w {
+		t.Errorf("ContentHash after inserts = %s, oracle %s", h, w)
 	}
 	cl := db.Clone()
-	assertSameRows(t, cl.Rows("t"), db.Rows("t"))
+	assertSameRows(t, cl.Rows("t"), want)
 	if got, want := cl.TotalRows(), db.TotalRows(); got != want {
 		t.Errorf("clone TotalRows = %d, want %d", got, want)
-	}
-}
-
-// TestRowFirstWriteBuildsNoVectors: writing an Insert-built table reads
-// its rows and leaves the vectors unbuilt (SaveDir after generation must
-// not pay for a columnar build).
-func TestRowFirstWriteBuildsNoVectors(t *testing.T) {
-	db := NewDatabase(allTypesSchema())
-	db.MustInsert("t", "a", int64(1), 1.5, true, nil)
-	if err := db.SaveDir(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	mustHash(t, db, "t")
-	if db.NumRows("t") != 1 || db.TotalRows() != 1 {
-		t.Fatalf("NumRows/TotalRows = %d/%d, want 1/1", db.NumRows("t"), db.TotalRows())
-	}
-	if _, vecs := builtViews(db, "t"); vecs {
-		t.Error("SaveDir, ContentHash or NumRows built the vectors of a row-first table")
 	}
 }
 

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -12,22 +13,16 @@ import (
 // keeps one ColumnVector per column: a typed vector with a null bitmap,
 // and — for string columns — dictionary encoding (interned codes into an
 // append-ordered dictionary with per-code occurrence counts). The vectors
-// are what the profiling kernels, the schema matcher, the CSG interner and
-// the discovery merge-joins scan; the row API (Rows, Column, ...) is the
-// compatibility view.
-//
-// A table has one of two owners. A table filled by ReadCSV is column-first:
-// the CSV decodes straight into its vectors, and its rows are derived from
-// them on first row-API use. A table filled by Insert is row-first: its
-// vectors are built from the rows on first access. Either view, once
-// built, is maintained incrementally by Insert, Update, and Delete. As
-// with the row view, concurrent readers are safe (vecMu guards building
-// either view on first use) but mutation must not race with reads.
+// are the only owner of a table's data: Insert and ReadCSV append to
+// them, and the profiling kernels, the schema matcher, the CSG interner,
+// the discovery merge-joins and WriteCSV read them. The row API (Rows)
+// is a view derived from them. Concurrent readers are safe, but an
+// append must not race with reads.
 
 // ChunkSize is the number of rows (or, for string columns, dictionary
 // entries) per profiling chunk: the unit of work the sharded profiling
-// kernels fan out over and the granularity of the per-chunk mutation
-// stamps below. A power of two keeps the row→chunk mapping a shift.
+// kernels of internal/profile fan out over. A power of two keeps the
+// row→chunk mapping a shift.
 const ChunkSize = 1 << 16
 
 // Bitmap is a fixed-purpose bitset over row indexes.
@@ -53,21 +48,13 @@ func (b *Bitmap) set(i int) {
 	b.words[w] |= 1 << (uint(i) & 63)
 }
 
-// clear unsets bit i.
-func (b *Bitmap) clear(i int) {
-	w := i >> 6
-	if w < len(b.words) {
-		b.words[w] &^= 1 << (uint(i) & 63)
-	}
-}
-
 // ColumnVector is the columnar representation of one column: a typed
 // vector with a null bitmap. String columns are dictionary-encoded: each
 // row stores a code into an append-ordered dictionary of interned strings,
-// with per-code occurrence counts maintained incrementally.
+// with per-code occurrence counts.
 //
 // The slices returned by the accessors are owned by the vector: they must
-// not be mutated and are valid until the next mutation of the database.
+// not be mutated and are valid until the next append to the table.
 //
 // The dictionary entries a vector held when it was sealed share one
 // backing string (see dict.go). A dictionary string kept beyond the
@@ -95,22 +82,13 @@ type ColumnVector struct {
 	bools  []bool
 	times  []time.Time
 
-	// chunkStamps holds one logical mutation stamp per ChunkSize rows,
-	// maintained incrementally: appending stamps the last chunk, an
-	// in-place update stamps the row's chunk, and a compacting delete
-	// stamps every chunk from the first removed row on. Stamps are drawn
-	// from the monotonically increasing stampEpoch (never reused, even
-	// when a delete truncates the stamp array and appends regrow it), so
-	// a consumer that cached a per-chunk summary can compare stamps to
-	// reprofile only the chunks that actually changed.
-	chunkStamps []uint64 //efes:bounded one stamp per ChunkSize rows of the owning table
-	stampEpoch  uint64
-
-	// memoized SortedDistinct result; nil after any mutation. The mutex
-	// only guards memo (re)computation: readers may share a vector, and
-	// the first one builds the memo for all.
-	memoMu sync.Mutex
-	memo   []string //efes:guardedby memoMu
+	// memoized SortedDistinct result, valid while the vector holds
+	// memoLen rows: a vector only grows, so its length dates its
+	// content. The mutex only guards memo (re)computation: readers may
+	// share a vector, and the first one builds the memo for all.
+	memoMu  sync.Mutex
+	memo    []string //efes:guardedby memoMu
+	memoLen int      //efes:guardedby memoMu
 }
 
 func newColumnVector(t Type) *ColumnVector {
@@ -137,8 +115,8 @@ func (v *ColumnVector) Nulls() *Bitmap { return &v.nulls }
 func (v *ColumnVector) Codes() []int32 { return v.codes }
 
 // Dict returns the dictionary of a string column in append (first
-// occurrence) order. After deletes or updates, entries whose count dropped
-// to zero linger; consumers must skip codes with Counts()[c] == 0.
+// occurrence) order. Every entry occurs in at least one row: its count is
+// positive.
 func (v *ColumnVector) Dict() []string { return v.dict }
 
 // Counts returns the per-code occurrence counts, parallel to Dict.
@@ -155,71 +133,6 @@ func (v *ColumnVector) Bools() []bool { return v.bools }
 
 // Times returns the typed vector of a timestamp column (nil otherwise).
 func (v *ColumnVector) Times() []time.Time { return v.times }
-
-// Chunks returns the number of ChunkSize row chunks covering the vector
-// (zero for an empty column).
-func (v *ColumnVector) Chunks() int {
-	return (v.length + ChunkSize - 1) / ChunkSize
-}
-
-// ChunkBounds returns the half-open row range [lo, hi) of chunk k.
-func (v *ColumnVector) ChunkBounds(k int) (lo, hi int) {
-	lo = k * ChunkSize
-	hi = lo + ChunkSize
-	if hi > v.length {
-		hi = v.length
-	}
-	return lo, hi
-}
-
-// ChunkStamp returns the logical mutation stamp of chunk k: it changes
-// whenever any row of the chunk is inserted, updated, or shifted by a
-// compacting delete, so equal stamps mean an unchanged chunk.
-func (v *ColumnVector) ChunkStamp(k int) uint64 {
-	if k < len(v.chunkStamps) {
-		return v.chunkStamps[k]
-	}
-	return 0
-}
-
-// stampAppend accounts a freshly appended row i to the chunk stamps.
-//
-//efes:hot
-func (v *ColumnVector) stampAppend(i int) {
-	v.stampEpoch++
-	k := i / ChunkSize
-	for k >= len(v.chunkStamps) {
-		//lint:ignore hotalloc grows one stamp per ChunkSize appended rows; amortized doubling, not per-append
-		v.chunkStamps = append(v.chunkStamps, 0)
-	}
-	v.chunkStamps[k] = v.stampEpoch
-}
-
-// stampTouch stamps the chunk containing row i.
-func (v *ColumnVector) stampTouch(i int) {
-	v.stampEpoch++
-	if k := i / ChunkSize; k < len(v.chunkStamps) {
-		v.chunkStamps[k] = v.stampEpoch
-	}
-}
-
-// stampFrom stamps every chunk from the one containing row i on and
-// drops stamps beyond the new length (a compacting delete shifts every
-// later row, so every later chunk changed).
-func (v *ColumnVector) stampFrom(i int) {
-	v.stampEpoch++
-	from := i / ChunkSize
-	n := v.Chunks()
-	if n > len(v.chunkStamps) {
-		n = len(v.chunkStamps)
-	}
-	for k := from; k < n; k++ {
-		v.chunkStamps[k] = v.stampEpoch
-	}
-	if n < len(v.chunkStamps) {
-		v.chunkStamps = v.chunkStamps[:n]
-	}
-}
 
 // Value materializes the cell of row i as a row-API Value.
 func (v *ColumnVector) Value(i int) Value {
@@ -260,16 +173,15 @@ func FloatKey(x float64) uint64 {
 
 // SortedDistinct returns the distinct non-NULL values of the column,
 // rendered with FormatValue and sorted lexicographically. The result is
-// memoized until the next mutation; it is the substrate of the
+// memoized until the next append; it is the substrate of the
 // inclusion-dependency merge-joins and the matcher's instance profiles.
 // The returned slice must not be mutated.
 func (v *ColumnVector) SortedDistinct() []string {
 	v.memoMu.Lock()
 	defer v.memoMu.Unlock()
-	if v.memo != nil {
-		return v.memo
+	if v.memo == nil || v.memoLen != v.length {
+		v.memo, v.memoLen = v.computeSortedDistinct(), v.length
 	}
-	v.memo = v.computeSortedDistinct()
 	return v.memo
 }
 
@@ -280,12 +192,8 @@ func (v *ColumnVector) SortedDistinct() []string {
 func (v *ColumnVector) computeSortedDistinct() []string {
 	switch v.typ {
 	case String:
-		out := make([]string, 0, len(v.dict))
-		for c, s := range v.dict {
-			if v.counts[c] > 0 {
-				out = append(out, s)
-			}
-		}
+		out := make([]string, len(v.dict))
+		copy(out, v.dict)
 		sort.Strings(out)
 		return out
 	case Integer:
@@ -350,27 +258,14 @@ func (v *ColumnVector) computeSortedDistinct() []string {
 	}
 }
 
-// invalidate drops the distinct memo after a mutation.
-func (v *ColumnVector) invalidate() {
-	v.memoMu.Lock()
-	v.memo = nil
-	v.memoMu.Unlock()
-}
-
-// appendValue appends one canonical (already coerced) cell to a live
-// vector, stamping its chunk and dropping the distinct memo.
-func (v *ColumnVector) appendValue(val Value) {
-	v.stampAppend(v.length)
-	v.pushValue(val)
-	v.invalidate()
-}
-
-// pushValue appends one canonical cell to the storage of a vector under
-// construction; seal stamps it once the build is complete.
+// pushValue appends one canonical cell to a vector. The empty string is
+// stored as NULL, as pushField stores the empty CSV field: WriteCSV
+// writes both as the empty field, so a table and its WriteCSV→ReadCSV
+// round trip have equal vectors, as they have equal content hashes.
 //
 //efes:hot
 func (v *ColumnVector) pushValue(val Value) {
-	if val == nil {
+	if val == nil || val == "" {
 		v.pushNull()
 		return
 	}
@@ -496,7 +391,7 @@ func grow[T any](s []T, n int) []T {
 	return g
 }
 
-// pushNull appends a NULL cell to a vector under construction.
+// pushNull appends a NULL cell to a vector.
 func (v *ColumnVector) pushNull() {
 	v.nulls.set(v.length)
 	v.nullCount++
@@ -504,12 +399,11 @@ func (v *ColumnVector) pushNull() {
 	v.length++
 }
 
-// seal stamps a vector built by pushValue/pushField exactly as appending
-// its rows one by one with appendValue would have: each chunk carries the
-// stamp of its last row, min((k+1)·ChunkSize, n), and the epoch is n. A
-// typed slice left with more spare capacity than append's own growth
-// slack (a reserve that overshot) is copied down to its length. A string
-// column's arena becomes the backing string of its dictionary.
+// seal completes a vector built by pushField or pushValue. A typed slice
+// left with more spare capacity than append's own growth slack (a
+// reserve that overshot) is copied down to its length. A string column's
+// arena becomes the backing string of its dictionary, and from then on a
+// new string is appended to the dictionary directly.
 func (v *ColumnVector) seal() {
 	v.sealDict()
 	v.codes = clip(v.codes)
@@ -517,14 +411,27 @@ func (v *ColumnVector) seal() {
 	v.floats = clip(v.floats)
 	v.bools = clip(v.bools)
 	v.times = clip(v.times)
-	if n := v.Chunks(); n > 0 {
-		v.chunkStamps = make([]uint64, n)
-		for k := range v.chunkStamps {
-			_, hi := v.ChunkBounds(k)
-			v.chunkStamps[k] = uint64(hi)
-		}
+}
+
+// clone returns a copy of a sealed vector. Strings are immutable, so the
+// copy shares them, but every slice is copied: an append to either vector
+// never writes into the other's storage. The copy rebuilds its
+// dictionary index on its first new string.
+func (v *ColumnVector) clone() *ColumnVector {
+	return &ColumnVector{
+		typ:       v.typ,
+		length:    v.length,
+		nulls:     Bitmap{words: slices.Clone(v.nulls.words)},
+		nullCount: v.nullCount,
+		codes:     slices.Clone(v.codes),
+		dict:      slices.Clone(v.dict),
+		counts:    slices.Clone(v.counts),
+		sealed:    true,
+		ints:      slices.Clone(v.ints),
+		floats:    slices.Clone(v.floats),
+		bools:     slices.Clone(v.bools),
+		times:     slices.Clone(v.times),
 	}
-	v.stampEpoch = uint64(v.length)
 }
 
 // clip returns s, or a copy of it without spare capacity when its
@@ -537,27 +444,6 @@ func clip[T any](s []T) []T {
 		return nil
 	}
 	return append(make([]T, 0, len(s)), s...)
-}
-
-// format renders the cell of row i exactly as FormatValue(v.Value(i))
-// does, without boxing it.
-func (v *ColumnVector) format(i int) string {
-	if v.nulls.Get(i) {
-		return ""
-	}
-	switch v.typ {
-	case String:
-		return v.dict[v.codes[i]]
-	case Integer:
-		return strconv.FormatInt(v.ints[i], 10)
-	case Float:
-		return FormatFloat(v.floats[i])
-	case Bool:
-		return strconv.FormatBool(v.bools[i])
-	case Time:
-		return FormatTime(v.times[i])
-	}
-	return ""
 }
 
 // appendZero appends the zero slot that keeps typed storage positionally
@@ -577,128 +463,9 @@ func (v *ColumnVector) appendZero() {
 	}
 }
 
-// setValue overwrites the cell of row i with a canonical value.
-//
-//efes:hot
-func (v *ColumnVector) setValue(i int, val Value) {
-	v.stampTouch(i)
-	if v.nulls.Get(i) {
-		v.nulls.clear(i)
-		v.nullCount--
-	} else if v.typ == String {
-		v.counts[v.codes[i]]--
-	}
-	if val == nil {
-		v.nulls.set(i)
-		v.nullCount++
-		v.setZero(i)
-		v.invalidate()
-		return
-	}
-	switch v.typ {
-	case String:
-		c := v.intern(val.(string))
-		v.codes[i] = c
-		v.counts[c]++
-	case Integer:
-		v.ints[i] = val.(int64)
-	case Float:
-		v.floats[i] = val.(float64)
-	case Bool:
-		v.bools[i] = val.(bool)
-	case Time:
-		v.times[i] = val.(time.Time)
-	}
-	v.invalidate()
-}
-
-// setZero zeroes the typed slot of row i.
-func (v *ColumnVector) setZero(i int) {
-	switch v.typ {
-	case String:
-		v.codes[i] = 0
-	case Integer:
-		v.ints[i] = 0
-	case Float:
-		v.floats[i] = 0
-	case Bool:
-		v.bools[i] = false
-	case Time:
-		v.times[i] = time.Time{}
-	}
-}
-
-// deleteRows compacts the vector, removing the rows in drop (indexes
-// relative to the pre-delete length; out-of-range entries are ignored,
-// matching Database.Delete).
-//
-//efes:hot
-func (v *ColumnVector) deleteRows(drop map[int]struct{}) {
-	origLen := v.length
-	first := origLen // first actually dropped row, for the chunk stamps
-	for i := range drop {
-		if i >= 0 && i < origLen && i < first {
-			first = i
-		}
-	}
-	w := 0
-	var nulls Bitmap
-	nullCount := 0
-	for i := 0; i < v.length; i++ {
-		if _, gone := drop[i]; gone {
-			if v.nulls.Get(i) {
-				// dropped NULL: nothing to unaccount beyond the bitmap
-			} else if v.typ == String {
-				v.counts[v.codes[i]]--
-			}
-			continue
-		}
-		if v.nulls.Get(i) {
-			nulls.set(w)
-			nullCount++
-		}
-		if w != i {
-			switch v.typ {
-			case String:
-				v.codes[w] = v.codes[i]
-			case Integer:
-				v.ints[w] = v.ints[i]
-			case Float:
-				v.floats[w] = v.floats[i]
-			case Bool:
-				v.bools[w] = v.bools[i]
-			case Time:
-				v.times[w] = v.times[i]
-			}
-		}
-		w++
-	}
-	switch v.typ {
-	case String:
-		v.codes = v.codes[:w]
-	case Integer:
-		v.ints = v.ints[:w]
-	case Float:
-		v.floats = v.floats[:w]
-	case Bool:
-		v.bools = v.bools[:w]
-	case Time:
-		v.times = v.times[:w]
-	}
-	v.length = w
-	v.nulls = nulls
-	v.nullCount = nullCount
-	if first < origLen { // a row was actually dropped
-		v.stampFrom(first)
-	}
-	v.invalidate()
-}
-
-// Vector returns the columnar view of one column, building the table's
-// vectors from its rows on first access to a row-first table. It returns
-// nil for unknown tables or columns. The returned vector is maintained
-// incrementally by subsequent Insert/Update/Delete calls; like the row
-// view, it must not be read concurrently with mutation.
+// Vector returns the vector of one column, or nil for unknown tables or
+// columns. Later Inserts append to the returned vector; like the row
+// view, it must not be read concurrently with an Insert.
 func (db *Database) Vector(table, column string) *ColumnVector {
 	t := db.Schema.Table(table)
 	if t == nil {
@@ -713,8 +480,8 @@ func (db *Database) Vector(table, column string) *ColumnVector {
 	return db.vectorsLocked(t)[idx]
 }
 
-// Vectors returns the columnar view of every column of a table in
-// declaration order, or nil for unknown tables.
+// Vectors returns the vectors of every column of a table in declaration
+// order, or nil for unknown tables.
 func (db *Database) Vectors(table string) []*ColumnVector {
 	t := db.Schema.Table(table)
 	if t == nil {
@@ -725,8 +492,8 @@ func (db *Database) Vectors(table string) []*ColumnVector {
 	return db.vectorsLocked(t)
 }
 
-// vectorsLocked returns (building if necessary) the vectors of a table.
-// Callers hold vecMu.
+// vectorsLocked returns the vectors of a table, creating empty, sealed
+// ones on first use. Callers hold vecMu.
 func (db *Database) vectorsLocked(t *Table) []*ColumnVector {
 	if vs, ok := db.vecs[t.Name]; ok {
 		return vs
@@ -739,26 +506,18 @@ func (db *Database) vectorsLocked(t *Table) []*ColumnVector {
 	return vs
 }
 
-// restageLocked returns unsealed vectors holding the table's current
-// content, read from whichever view is built, so that a build can append
-// to them. A fresh build compacts: the dictionary holds exactly the live
-// strings in first-occurrence row order. Callers hold vecMu.
+// restageLocked returns unsealed vectors holding a copy of the table's
+// current content (none for a table without vectors), so that ReadCSV
+// can append to them and commit the result only once the whole input
+// has parsed. Callers hold vecMu.
 func (db *Database) restageLocked(t *Table) []*ColumnVector {
 	vs := make([]*ColumnVector, len(t.Columns))
 	for i, c := range t.Columns {
 		vs[i] = newColumnVector(c.Type)
 	}
-	if rows, ok := db.rows[t.Name]; ok {
-		for _, row := range rows {
-			for i := range vs {
-				vs[i].pushValue(row[i])
-			}
-		}
-	} else if old, ok := db.vecs[t.Name]; ok {
-		for i, v := range old {
-			for r := 0; r < v.Len(); r++ {
-				vs[i].pushValue(v.Value(r))
-			}
+	for i, v := range db.vecs[t.Name] {
+		for r := 0; r < v.Len(); r++ {
+			vs[i].pushValue(v.Value(r))
 		}
 	}
 	return vs
@@ -772,8 +531,8 @@ func vectorsLen(vs []*ColumnVector) int {
 	return vs[0].Len()
 }
 
-// deriveRows builds the row view of a column-first table from its
-// vectors, all rows sharing one backing array of cells.
+// deriveRows builds the row view of a table from its vectors, all rows
+// sharing one backing array of cells.
 func deriveRows(vs []*ColumnVector) []Row {
 	n, w := vectorsLen(vs), len(vs)
 	if n == 0 {

@@ -58,52 +58,39 @@ func TestVectorDictionaryEncoding(t *testing.T) {
 	}
 }
 
+// TestVectorIncrementalMaintenance inserts into a table whose vector,
+// distinct memo and row view were read: the vector the reader holds
+// grows in place, its counts and memo follow, and the rows are derived
+// again, aligned with it.
 func TestVectorIncrementalMaintenance(t *testing.T) {
 	db := stringTableDB(t)
-	vec := db.Vector("songs", "title") // materialize, then mutate
+	vec := db.Vector("songs", "title")
+	if got := vec.SortedDistinct(); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("sorted distinct = %v", got)
+	}
+	if n := len(db.Rows("songs")); n != 4 {
+		t.Fatalf("rows = %d, want 4", n)
+	}
 	db.MustInsert("songs", "c", int64(3))
-	if vec.Len() != 5 || vec.Value(4) != "c" {
-		t.Fatalf("after insert: len=%d last=%v", vec.Len(), vec.Value(4))
+	db.MustInsert("songs", "b", nil)
+	if vec.Len() != 6 || vec.Value(4) != "c" || vec.Value(5) != "b" {
+		t.Fatalf("after inserts: len=%d last=%v,%v", vec.Len(), vec.Value(4), vec.Value(5))
 	}
-	if err := db.Update("songs", 0, "title", "b"); err != nil {
-		t.Fatalf("Update: %v", err)
+	if got := vec.Counts(); !reflect.DeepEqual(got, []int{2, 2, 1}) {
+		t.Fatalf("counts after inserts = %v", got)
 	}
-	// "a" lost one occurrence, "b" gained one.
-	if got := vec.Counts(); !reflect.DeepEqual(got, []int{1, 2, 1}) {
-		t.Fatalf("counts after update = %v", got)
+	if got := vec.SortedDistinct(); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
+		t.Fatalf("sorted distinct after inserts = %v", got)
 	}
-	db.Delete("songs", 2) // drops the remaining "a": entry goes dead
-	if got := vec.Counts(); !reflect.DeepEqual(got, []int{0, 2, 1}) {
-		t.Fatalf("counts after delete = %v", got)
-	}
-	// Dead entries disappear from the distinct view; the memo was
-	// invalidated by every mutation above.
-	if got := vec.SortedDistinct(); !reflect.DeepEqual(got, []string{"b", "c"}) {
-		t.Fatalf("sorted distinct after mutations = %v", got)
-	}
-	// The vector stays aligned with the row view.
 	rows := db.Rows("songs")
 	if len(rows) != vec.Len() {
 		t.Fatalf("row/vector length mismatch: %d vs %d", len(rows), vec.Len())
 	}
+	plays := db.Vector("songs", "plays")
 	for i, row := range rows {
-		if !reflect.DeepEqual(row[0], vec.Value(i)) {
-			t.Errorf("row %d: row view %v, vector %v", i, row[0], vec.Value(i))
+		if !reflect.DeepEqual(row[0], vec.Value(i)) || !reflect.DeepEqual(row[1], plays.Value(i)) {
+			t.Errorf("row %d: row view %v, vectors %v, %v", i, row, vec.Value(i), plays.Value(i))
 		}
-	}
-}
-
-func TestVectorLazyMaterialization(t *testing.T) {
-	db := stringTableDB(t)
-	// Mutations before first access must be reflected once materialized.
-	db.MustInsert("songs", "z", nil)
-	db.Delete("songs", 0)
-	vec := db.Vector("songs", "plays")
-	if vec.Len() != db.NumRows("songs") {
-		t.Fatalf("materialized length %d, rows %d", vec.Len(), db.NumRows("songs"))
-	}
-	if got := vec.Ints(); got[0] != 2 { // first surviving row is ("b", 2)
-		t.Fatalf("ints = %v", got)
 	}
 }
 
@@ -115,16 +102,21 @@ func TestVectorUnknownAndClone(t *testing.T) {
 	if db.Vectors("nope") != nil {
 		t.Fatal("Vectors must return nil for unknown table")
 	}
+	db.MustInsert("songs", "c", int64(3)) // the slices now have spare capacity
 	vec := db.Vector("songs", "title")
 	cl := db.Clone()
-	// The clone materializes its own vectors; mutating the clone must not
-	// disturb the original's.
+	// The clone copies the vectors: inserting a new dictionary entry into
+	// each must not show in the other.
 	cl.MustInsert("songs", "q", int64(9))
-	if got := db.Vector("songs", "title"); got != vec || got.Len() != 4 {
-		t.Fatalf("original vector disturbed by clone mutation: len=%d", got.Len())
+	db.MustInsert("songs", "z", int64(8))
+	if got := db.Vector("songs", "title"); got != vec || got.Len() != 6 || got.Value(5) != "z" || !reflect.DeepEqual(got.Dict(), []string{"a", "b", "c", "z"}) {
+		t.Fatalf("original vector: len=%d dict=%v", got.Len(), got.Dict())
 	}
-	if cv := cl.Vector("songs", "title"); cv.Len() != 5 {
-		t.Fatalf("clone vector len = %d", cv.Len())
+	if cv := cl.Vector("songs", "title"); cv == vec || cv.Len() != 6 || cv.Value(5) != "q" || !reflect.DeepEqual(cv.Dict(), []string{"a", "b", "c", "q"}) {
+		t.Fatalf("clone vector: len=%d dict=%v", cv.Len(), cv.Dict())
+	}
+	if got, want := cl.Vector("songs", "plays").Ints()[5], int64(9); got != want {
+		t.Fatalf("clone plays[5] = %d, want %d", got, want)
 	}
 }
 
@@ -145,9 +137,4 @@ func TestBitmap(t *testing.T) {
 	if b.Get(1) || b.Get(199) || b.Get(201) {
 		t.Error("unexpected bits set")
 	}
-	b.clear(64)
-	if b.Get(64) || !b.Get(63) {
-		t.Error("clear(64) wrong")
-	}
-	b.clear(100000) // out of range: no-op
 }

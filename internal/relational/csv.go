@@ -1,64 +1,136 @@
 package relational
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
-// WriteCSV encodes one table as CSV: a header line with the column names
-// followed by one line per row. NULL is encoded as the empty field. It
-// reads whichever view the table holds — rows if built, else vectors —
-// and builds neither, so the bytes (and the ContentHash over them) do not
-// depend on how the table was filled.
+// csvFlushSize is the size at which WriteCSV hands its rendered bytes to
+// the writer.
+const csvFlushSize = 64 << 10
+
+// WriteCSV encodes one table as CSV, byte for byte as encoding/csv.Writer
+// would: a header line with the column names followed by one line per
+// row, fields quoted by encoding/csv's rule, lines ended by LF. NULL is
+// the empty field, except that a row whose only field is NULL is written
+// as "": encoding/csv would write an empty line, which readers skip.
+//
+// The fields are rendered from the column vectors into one buffer that
+// is handed to w in blocks of about csvFlushSize bytes. Whether a string
+// needs quotes is decided once per dictionary entry.
 func (db *Database) WriteCSV(table string, w io.Writer) error {
 	t := db.Schema.Table(table)
 	if t == nil {
 		return fmt.Errorf("relational: unknown table %s", table)
 	}
 	db.vecMu.Lock()
-	rows, hasRows := db.rows[table]
 	vs := db.vecs[table]
 	db.vecMu.Unlock()
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.ColumnNames()); err != nil {
-		return err
+	var buf []byte
+	for i, name := range t.ColumnNames() {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendCSVField(buf, name, csvNeedsQuotes(name))
 	}
-	n := len(rows)
-	if !hasRows {
-		n = vectorsLen(vs)
-	}
-	record := make([]string, len(t.Columns))
-	for r := 0; r < n; r++ {
-		for i := range record {
-			if hasRows {
-				record[i] = FormatValue(rows[r][i])
-			} else {
-				record[i] = vs[i].format(r)
+	buf = append(buf, '\n')
+	quoted := make([][]bool, len(vs))
+	for i, v := range vs {
+		if v.typ == String {
+			quoted[i] = make([]bool, len(v.dict))
+			for c, s := range v.dict {
+				quoted[i][c] = csvNeedsQuotes(s)
 			}
 		}
-		if len(record) == 1 && record[0] == "" {
-			// encoding/csv writes a lone empty field as an empty line,
-			// which ReadCSV, like encoding/csv, skips. Quoted, it reads
-			// back as one empty field: a NULL.
-			cw.Flush()
-			if err := cw.Error(); err != nil {
+	}
+	for r, n := 0, vectorsLen(vs); r < n; r++ {
+		start := len(buf)
+		for i, v := range vs {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = v.appendCSV(buf, r, quoted[i])
+		}
+		if len(buf) == start {
+			buf = append(buf, '"', '"')
+		}
+		buf = append(buf, '\n')
+		if len(buf) >= csvFlushSize {
+			if _, err := w.Write(buf); err != nil {
 				return err
 			}
-			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := cw.Write(record); err != nil {
-			return err
+			buf = buf[:0]
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	_, err := w.Write(buf)
+	return err
+}
+
+// appendCSV appends the CSV field of row i, rendered as FormatValue
+// renders the cell; quoted holds the quoting decision of each dictionary
+// entry of a string column.
+//
+//efes:hot
+func (v *ColumnVector) appendCSV(buf []byte, i int, quoted []bool) []byte {
+	if v.nulls.Get(i) {
+		return buf
+	}
+	switch v.typ {
+	case String:
+		c := v.codes[i]
+		return appendCSVField(buf, v.dict[c], quoted[c])
+	case Integer:
+		return strconv.AppendInt(buf, v.ints[i], 10)
+	case Float:
+		return strconv.AppendFloat(buf, v.floats[i], 'g', -1, 64)
+	case Bool:
+		return strconv.AppendBool(buf, v.bools[i])
+	case Time:
+		return v.times[i].AppendFormat(buf, time.RFC3339)
+	}
+	return buf
+}
+
+// csvNeedsQuotes reports whether encoding/csv.Writer quotes the field s:
+// it quotes \. and any field that contains a comma, a quote, CR or LF,
+// or that starts with a Unicode space.
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` || strings.ContainsAny(s, ",\"\r\n") {
+		return true
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
+}
+
+// appendCSVField appends s as a CSV field: verbatim, or, when quote is
+// set, between quotes with each quote doubled. CR and LF stay as they
+// are, as encoding/csv.Writer writes them without UseCRLF.
+func appendCSVField(buf []byte, s string, quote bool) []byte {
+	if !quote {
+		return append(buf, s...)
+	}
+	buf = append(buf, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		buf = append(buf, s[:i+1]...)
+		buf = append(buf, '"')
+		s = s[i+1:]
+	}
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // ReadCSV appends rows to an existing table from CSV produced by WriteCSV.
@@ -66,17 +138,16 @@ func (db *Database) WriteCSV(table string, w io.Writer) error {
 // the remaining fields are parsed according to the column types. The
 // input is read with encoding/csv's rules and errors (csvDecoder).
 //
-// Records decode straight into the table's column vectors — no Row is
-// built and no cell is boxed — and the table becomes column-first: its
-// rows are derived from the vectors on first row-API use. The load runs
+// Records decode straight into the table's column vectors: no Row is
+// built and no cell is boxed. The load runs
 // in two overlapping stages (csvintern.go): the calling goroutine reads
 // and splits records and parses every field that is not a string into
 // its vector, and copies each string field once, into a batch; one
 // interning goroutine interns the string columns a batch behind,
 // copying a string's bytes into its column's arena on their first
-// occurrence. The vectors are exactly those Vector would build from the
-// equivalent inserted rows (same dictionary order, counts, codes, nulls,
-// and chunk stamps). When r reports its size (a regular file, a
+// occurrence. The vectors are exactly those that inserting the
+// equivalent rows would build (same dictionary order, counts, codes and
+// nulls). When r reports its size (a regular file, a
 // strings.Reader or a bytes.Reader), each typed slice is grown once to
 // the row count estimated from the first buffered block. The load is
 // atomic: records decode into staged vectors that are committed only
@@ -110,7 +181,8 @@ func (db *Database) readCSV(table string, r io.Reader, batchRows int) error {
 		}
 	}
 	// An append to a table that already holds data restages that data
-	// first, so the result is a fresh build over old and new rows alike.
+	// first, so the result is a fresh build over old and new rows alike,
+	// and a failed load leaves the table's vectors untouched.
 	db.vecMu.Lock()
 	staged := db.restageLocked(t)
 	db.vecMu.Unlock()

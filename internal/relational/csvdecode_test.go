@@ -84,8 +84,8 @@ func TestReadCSVSizeEstimateBounded(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			fmt.Fprintf(&b, "%d,%s%d,\n", i, long, i)
 		}
-		db, oracle := NewDatabase(s), NewDatabase(s)
-		assertLoadsAgree(t, db, oracle, "t", b.String())
+		db := NewDatabase(s)
+		assertLoadsAgree(t, db, new([]Row), "t", b.String())
 		for i, v := range db.Vectors("t") {
 			for _, c := range []struct {
 				name     string

@@ -12,26 +12,18 @@ import (
 // its table, in declaration order. A nil element is SQL NULL.
 type Row []Value
 
-// clone returns a copy of the row.
-func (r Row) clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
-// Database is an instance of a Schema: a set of rows per table.
+// Database is an instance of a Schema: the column vectors of each table.
 type Database struct {
 	// Schema is the schema this instance conforms to (modulo any
 	// violations reported by Validate).
 	Schema *Schema
 
-	// A table is held as rows, as vectors (see colvec.go), or both. A
-	// table filled by ReadCSV starts with vectors only and derives its
-	// rows on first row-API use; a table filled by Insert starts with
-	// rows only and builds its vectors on first columnar access. A
-	// missing entry in both maps is an empty table. vecMu guards both
-	// maps and those first-use builds: concurrent readers may trigger a
-	// build, which turns a read into a write.
+	// Each table is held as one vector per column (see colvec.go), filled
+	// by Insert and ReadCSV; a missing entry is an empty table. The rows
+	// of a table are a view derived from its vectors on first use and
+	// memoized until the next Insert or ReadCSV. vecMu guards both maps:
+	// concurrent readers may derive the row view, which turns a read into
+	// a write.
 	vecMu sync.Mutex
 	//efes:bounded one slice per table of the loaded instance, one element per row
 	rows map[string][]Row //efes:guardedby vecMu
@@ -40,9 +32,9 @@ type Database struct {
 
 	// hashes memoizes per-table content hashes (ContentHash). hashMu is
 	// separate from vecMu so a first-time hash (a full CSV serialization
-	// of the table) never blocks columnar materialization; holding it
+	// of the table) never blocks readers of the vectors; holding it
 	// across the computation deduplicates concurrent hashers of the same
-	// instance. Mutations invalidate via invalidateHash.
+	// instance. Insert and ReadCSV invalidate via invalidateHash.
 	hashMu sync.Mutex
 	hashes map[string]string //efes:guardedby hashMu
 }
@@ -63,8 +55,7 @@ func NewDatabase(s *Schema) *Database {
 // tuples in the same order, whatever process or machine computed the
 // hash — the content address that keys the durable profile and result
 // caches (internal/persist). The hash is memoized per table and
-// invalidated by Insert, Update, Delete, and ReadCSV. Hashing reads
-// whichever view the table holds and builds neither.
+// invalidated by Insert and ReadCSV.
 func (db *Database) ContentHash(table string) (string, error) {
 	db.hashMu.Lock()
 	defer db.hashMu.Unlock()
@@ -89,7 +80,9 @@ func (db *Database) invalidateHash(table string) {
 
 // Insert appends a tuple to the named table after type-checking every
 // value against the column types. Values are coerced to their canonical
-// representation (e.g. int -> int64).
+// representation (e.g. int -> int64) before any is stored, so a value
+// that does not coerce leaves the table untouched. An empty string in a
+// string column is stored as NULL (see pushValue).
 func (db *Database) Insert(table string, values ...Value) error {
 	t := db.Schema.Table(table)
 	if t == nil {
@@ -98,21 +91,25 @@ func (db *Database) Insert(table string, values ...Value) error {
 	if len(values) != len(t.Columns) {
 		return fmt.Errorf("relational: insert into %s: got %d values, want %d", table, len(values), len(t.Columns))
 	}
-	row := make(Row, len(values))
+	// The coerced values are staged on the stack for tables of up to
+	// eight columns: the row itself is not kept.
+	var small [8]Value
+	row := small[:0]
+	if len(values) > len(small) {
+		row = make([]Value, 0, len(values))
+	}
 	for i, v := range values {
 		cv, err := Coerce(t.Columns[i].Type, v)
 		if err != nil {
 			return fmt.Errorf("relational: insert into %s.%s: %w", table, t.Columns[i].Name, err)
 		}
-		row[i] = cv
+		row = append(row, cv)
 	}
 	db.vecMu.Lock()
-	db.rows[table] = append(db.rowsLocked(table), row)
-	if vs, ok := db.vecs[table]; ok {
-		for i := range vs {
-			vs[i].appendValue(row[i])
-		}
+	for i, v := range db.vectorsLocked(t) {
+		v.pushValue(row[i])
 	}
+	delete(db.rows, table)
 	db.vecMu.Unlock()
 	db.invalidateHash(table)
 	return nil
@@ -125,43 +122,12 @@ func (db *Database) MustInsert(table string, values ...Value) {
 	}
 }
 
-// InsertMap inserts a tuple given as a column-name-to-value map; missing
-// columns become NULL, unknown columns are an error.
-func (db *Database) InsertMap(table string, values map[string]Value) error {
-	t := db.Schema.Table(table)
-	if t == nil {
-		return fmt.Errorf("relational: insert into unknown table %s", table)
-	}
-	row := make([]Value, len(t.Columns))
-	// Visit the columns in sorted order so that a tuple with several
-	// unknown columns always reports the same one.
-	names := make([]string, 0, len(values))
-	for name := range values {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		idx := t.ColumnIndex(name)
-		if idx < 0 {
-			return fmt.Errorf("relational: insert into %s: unknown column %s", table, name)
-		}
-		row[idx] = values[name]
-	}
-	return db.Insert(table, row...)
-}
-
-// Rows returns the tuples of the named table, deriving them from the
-// vectors of a column-first table on first use. The returned slice is
-// owned by the database and must not be mutated.
+// Rows returns the tuples of the named table, derived from its vectors on
+// first use. The returned slice is owned by the database and must not be
+// mutated.
 func (db *Database) Rows(table string) []Row {
 	db.vecMu.Lock()
 	defer db.vecMu.Unlock()
-	return db.rowsLocked(table)
-}
-
-// rowsLocked returns the row view of a table, deriving and memoizing it
-// when only vectors are held. Callers hold vecMu.
-func (db *Database) rowsLocked(table string) []Row {
 	if rs, ok := db.rows[table]; ok {
 		return rs
 	}
@@ -174,19 +140,10 @@ func (db *Database) rowsLocked(table string) []Row {
 	return rs
 }
 
-// NumRows returns the number of tuples in the named table. It reads
-// whichever view the table holds and builds neither.
+// NumRows returns the number of tuples in the named table.
 func (db *Database) NumRows(table string) int {
 	db.vecMu.Lock()
 	defer db.vecMu.Unlock()
-	return db.numRowsLocked(table)
-}
-
-// numRowsLocked is NumRows for callers holding vecMu.
-func (db *Database) numRowsLocked(table string) int {
-	if rs, ok := db.rows[table]; ok {
-		return len(rs)
-	}
 	return vectorsLen(db.vecs[table])
 }
 
@@ -196,7 +153,7 @@ func (db *Database) TotalRows() int {
 	defer db.vecMu.Unlock()
 	n := 0
 	for _, t := range db.Schema.Tables() {
-		n += db.numRowsLocked(t.Name)
+		n += vectorsLen(db.vecs[t.Name])
 	}
 	return n
 }
@@ -212,10 +169,10 @@ func (db *Database) Column(table, column string) ([]Value, error) {
 	if idx < 0 {
 		return nil, fmt.Errorf("relational: unknown column %s.%s", table, column)
 	}
-	rows := db.Rows(table)
-	out := make([]Value, 0, len(rows))
-	for _, row := range rows {
-		out = append(out, row[idx])
+	v := db.Vectors(table)[idx]
+	out := make([]Value, v.Len())
+	for i := range out {
+		out[i] = v.Value(i)
 	}
 	return out, nil
 }
@@ -266,127 +223,23 @@ func (db *Database) Validate() []Violation {
 	return out
 }
 
-// Clone deep-copies the instance (sharing the immutable schema) as a
-// row-first copy: it derives the source's rows where only vectors are
-// held, and the copy builds its own vectors on demand.
+// Clone deep-copies the instance, sharing the immutable schema: every
+// vector is copied column by column, so inserting into the copy leaves
+// the original untouched.
 func (db *Database) Clone() *Database {
 	out := NewDatabase(db.Schema)
 	db.vecMu.Lock()
 	defer db.vecMu.Unlock()
 	for _, t := range db.Schema.Tables() {
-		rs := db.rowsLocked(t.Name)
-		if rs == nil {
+		vs, ok := db.vecs[t.Name]
+		if !ok {
 			continue
 		}
-		cp := make([]Row, len(rs))
-		for i, r := range rs {
-			cp[i] = r.clone()
+		cp := make([]*ColumnVector, len(vs))
+		for i, v := range vs {
+			cp[i] = v.clone()
 		}
-		out.rows[t.Name] = cp
+		out.vecs[t.Name] = cp
 	}
 	return out
-}
-
-// Delete removes the rows at the given indexes from the named table.
-// Indexes outside the table are ignored.
-func (db *Database) Delete(table string, rowIndexes ...int) {
-	if len(rowIndexes) == 0 {
-		return
-	}
-	drop := make(map[int]struct{}, len(rowIndexes))
-	for _, i := range rowIndexes {
-		drop[i] = struct{}{}
-	}
-	db.vecMu.Lock()
-	src := db.rowsLocked(table)
-	dst := src[:0]
-	for i, r := range src {
-		if _, gone := drop[i]; !gone {
-			dst = append(dst, r)
-		}
-	}
-	db.rows[table] = dst
-	if vs, ok := db.vecs[table]; ok {
-		for i := range vs {
-			vs[i].deleteRows(drop)
-		}
-	}
-	db.vecMu.Unlock()
-	db.invalidateHash(table)
-}
-
-// Update sets column of the row at rowIndex to v (after coercion).
-func (db *Database) Update(table string, rowIndex int, column string, v Value) error {
-	t := db.Schema.Table(table)
-	if t == nil {
-		return fmt.Errorf("relational: update unknown table %s", table)
-	}
-	idx := t.ColumnIndex(column)
-	if idx < 0 {
-		return fmt.Errorf("relational: update unknown column %s.%s", table, column)
-	}
-	db.vecMu.Lock()
-	err := db.updateLocked(t, rowIndex, idx, v)
-	db.vecMu.Unlock()
-	if err != nil {
-		return err
-	}
-	db.invalidateHash(table)
-	return nil
-}
-
-// updateLocked is the body of Update for callers holding vecMu.
-func (db *Database) updateLocked(t *Table, rowIndex, idx int, v Value) error {
-	if rowIndex < 0 || rowIndex >= db.numRowsLocked(t.Name) {
-		return fmt.Errorf("relational: update %s: row %d out of range", t.Name, rowIndex)
-	}
-	cv, err := Coerce(t.Columns[idx].Type, v)
-	if err != nil {
-		return err
-	}
-	db.rowsLocked(t.Name)[rowIndex][idx] = cv
-	if vs, ok := db.vecs[t.Name]; ok {
-		vs[idx].setValue(rowIndex, cv)
-	}
-	return nil
-}
-
-// JoinPair is one matched pair of row indexes produced by EquiJoin.
-type JoinPair struct {
-	Left, Right int
-}
-
-// EquiJoin matches rows of two tables on equality of the given columns and
-// returns the matching index pairs. NULLs never join.
-func (db *Database) EquiJoin(leftTable, leftColumn, rightTable, rightColumn string) ([]JoinPair, error) {
-	lt := db.Schema.Table(leftTable)
-	rt := db.Schema.Table(rightTable)
-	if lt == nil || rt == nil {
-		return nil, fmt.Errorf("relational: join of unknown tables %s, %s", leftTable, rightTable)
-	}
-	li := lt.ColumnIndex(leftColumn)
-	ri := rt.ColumnIndex(rightColumn)
-	if li < 0 || ri < 0 {
-		return nil, fmt.Errorf("relational: join on unknown columns %s.%s, %s.%s", leftTable, leftColumn, rightTable, rightColumn)
-	}
-	index := make(map[string][]int)
-	for j, row := range db.Rows(rightTable) {
-		v := row[ri]
-		if v == nil {
-			continue
-		}
-		k := FormatValue(v)
-		index[k] = append(index[k], j)
-	}
-	var out []JoinPair
-	for i, row := range db.Rows(leftTable) {
-		v := row[li]
-		if v == nil {
-			continue
-		}
-		for _, j := range index[FormatValue(v)] {
-			out = append(out, JoinPair{Left: i, Right: j})
-		}
-	}
-	return out, nil
 }

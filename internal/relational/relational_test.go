@@ -219,20 +219,6 @@ func TestInsertTypeChecking(t *testing.T) {
 	}
 }
 
-func TestInsertMap(t *testing.T) {
-	db := NewDatabase(testSchema(t))
-	if err := db.InsertMap("albums", map[string]Value{"id": 1, "title": "Second Helping"}); err != nil {
-		t.Fatalf("InsertMap: %v", err)
-	}
-	row := db.Rows("albums")[0]
-	if row[2] != nil || row[3] != nil {
-		t.Errorf("missing columns should be NULL, got %v", row)
-	}
-	if err := db.InsertMap("albums", map[string]Value{"bogus": 1}); err == nil {
-		t.Error("unknown column must fail")
-	}
-}
-
 func TestValidateFindsAllViolationKinds(t *testing.T) {
 	db := NewDatabase(testSchema(t))
 	db.MustInsert("artists", 1, "A")
@@ -308,59 +294,17 @@ func TestDistinctValues(t *testing.T) {
 	}
 }
 
-func TestEquiJoin(t *testing.T) {
-	db := NewDatabase(testSchema(t))
-	db.MustInsert("artists", 1, "A")
-	db.MustInsert("artists", 2, "B")
-	db.MustInsert("albums", 10, "x", 1, nil)
-	db.MustInsert("albums", 11, "y", 1, nil)
-	db.MustInsert("albums", 12, "z", nil, nil)
-	pairs, err := db.EquiJoin("albums", "artist", "artists", "id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 2 {
-		t.Fatalf("join pairs = %v, want 2", pairs)
-	}
-	for _, p := range pairs {
-		if db.Rows("artists")[p.Right][1].(string) != "A" {
-			t.Errorf("join matched wrong artist: %v", p)
-		}
-	}
-}
-
-func TestDeleteAndUpdate(t *testing.T) {
-	db := NewDatabase(testSchema(t))
-	db.MustInsert("artists", 1, "A")
-	db.MustInsert("artists", 2, "B")
-	db.MustInsert("artists", 3, "C")
-	db.Delete("artists", 1)
-	if db.NumRows("artists") != 2 {
-		t.Fatalf("rows after delete = %d", db.NumRows("artists"))
-	}
-	if db.Rows("artists")[1][1].(string) != "C" {
-		t.Errorf("wrong row deleted")
-	}
-	if err := db.Update("artists", 0, "name", "AA"); err != nil {
-		t.Fatal(err)
-	}
-	if db.Rows("artists")[0][1].(string) != "AA" {
-		t.Error("update did not stick")
-	}
-	if err := db.Update("artists", 9, "name", "x"); err == nil {
-		t.Error("out-of-range update must fail")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	db := NewDatabase(testSchema(t))
 	db.MustInsert("artists", 1, "A")
+	h := mustHash(t, db, "artists")
 	cp := db.Clone()
-	if err := cp.Update("artists", 0, "name", "mutated"); err != nil {
-		t.Fatal(err)
+	cp.MustInsert("artists", 2, "mutated")
+	if db.NumRows("artists") != 1 || db.Rows("artists")[0][1].(string) != "A" || mustHash(t, db, "artists") != h {
+		t.Error("clone shares storage with original")
 	}
-	if db.Rows("artists")[0][1].(string) != "A" {
-		t.Error("clone shares row storage with original")
+	if rows := cp.Rows("artists"); len(rows) != 2 || rows[0][1].(string) != "A" || rows[1][1].(string) != "mutated" {
+		t.Errorf("clone rows = %v", rows)
 	}
 }
 
@@ -388,44 +332,37 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCSVRoundTripProperty: an Insert-built table of all five types and
+// its WriteCSV→ReadCSV round trip have equal vectors and equal content
+// hashes. The empty string needs no normalization: Insert stores it as
+// NULL, as the round trip reads it back. Times are generated at whole
+// seconds, because RFC3339 carries no fraction of a second.
 func TestCSVRoundTripProperty(t *testing.T) {
-	s := NewSchema("p")
-	s.MustAddTable(MustTable("t",
-		Column{Name: "a", Type: String},
-		Column{Name: "b", Type: Integer},
-	))
-	f := func(strs []string, ints []int64) bool {
+	s := allTypesSchema()
+	f := func(strs []string, ints []int64, floats []float64, bools []bool, secs []int64, nullMask []uint8) bool {
 		db := NewDatabase(s)
-		n := len(strs)
-		if len(ints) < n {
-			n = len(ints)
-		}
+		n := min(len(strs), len(ints), len(floats), len(bools), len(secs))
 		for i := 0; i < n; i++ {
-			// CSV cannot distinguish "" from NULL; normalize.
-			v := strs[i]
-			if v == "" {
-				v = "_"
+			row := Row{strs[i], ints[i], floats[i], bools[i], time.Unix(secs[i]%1e10, 0).UTC()}
+			for j := range row {
+				if i < len(nullMask) && nullMask[i]>>j&1 == 1 {
+					row[j] = nil
+				}
 			}
-			db.MustInsert("t", v, ints[i])
+			db.MustInsert("t", row...)
 		}
 		var buf bytes.Buffer
 		if err := db.WriteCSV("t", &buf); err != nil {
-			return false
+			t.Fatal(err)
 		}
 		db2 := NewDatabase(s)
 		if err := db2.ReadCSV("t", &buf); err != nil {
-			return false
+			t.Fatal(err)
 		}
-		if db2.NumRows("t") != n {
-			return false
+		for i, v := range db.Vectors("t") {
+			assertSameVector(t, s.Table("t").Columns[i].Name, db2.Vectors("t")[i], v)
 		}
-		for i := 0; i < n; i++ {
-			a, b := db.Rows("t")[i], db2.Rows("t")[i]
-			if CompareValues(a[0], b[0]) != 0 || CompareValues(a[1], b[1]) != 0 {
-				return false
-			}
-		}
-		return true
+		return mustHash(t, db, "t") == mustHash(t, db2, "t")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -620,4 +557,23 @@ func TestSaveDirErrors(t *testing.T) {
 	if err := db2.LoadDir(good); err == nil {
 		t.Error("LoadDir with a mismatched header must fail")
 	}
+}
+
+// FuzzParseSchemaText: ParseSchemaText never panics, and the rendering
+// (Schema.String) of a schema it accepts parses back to the same
+// rendering. Seeds in testdata/fuzz/FuzzParseSchemaText.
+func FuzzParseSchemaText(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := ParseSchemaText(text)
+		if err != nil {
+			return
+		}
+		again, err := ParseSchemaText(s.String())
+		if err != nil {
+			t.Fatalf("rendering %q of %q does not parse: %v", s.String(), text, err)
+		}
+		if again.String() != s.String() {
+			t.Fatalf("rendering of %q: %q, parsed back as %q", text, s.String(), again.String())
+		}
+	})
 }

@@ -1,6 +1,6 @@
 // Package relational implements an in-memory relational data store: typed
-// schemas, constraints, instances, validation, and basic algebraic
-// operations (projection, selection, equi-join).
+// schemas, constraints, columnar instances, validation, and CSV
+// serialization.
 //
 // It is the storage substrate of the EFES reproduction. The original paper
 // keeps its datasets in PostgreSQL and inspects them with "simple SQL
@@ -107,7 +107,8 @@ func ValidValue(t Type, v Value) bool {
 // Coerce converts v into the canonical Go representation for type t.
 // Integers are widened from any Go integer type, float32 is widened to
 // float64, and strings are parsed when the target type is not String.
-// It returns an error when the conversion is impossible.
+// A value that already has the canonical type is returned as it is. It
+// returns an error when the conversion is impossible.
 func Coerce(t Type, v Value) (Value, error) {
 	if v == nil {
 		return nil, nil
@@ -116,7 +117,7 @@ func Coerce(t Type, v Value) (Value, error) {
 	case String:
 		switch x := v.(type) {
 		case string:
-			return x, nil
+			return v, nil
 		case int64:
 			return strconv.FormatInt(x, 10), nil
 		case int:
@@ -131,7 +132,7 @@ func Coerce(t Type, v Value) (Value, error) {
 	case Integer:
 		switch x := v.(type) {
 		case int64:
-			return x, nil
+			return v, nil
 		case int:
 			return int64(x), nil
 		case int32:
@@ -148,7 +149,7 @@ func Coerce(t Type, v Value) (Value, error) {
 	case Float:
 		switch x := v.(type) {
 		case float64:
-			return x, nil
+			return v, nil
 		case float32:
 			return float64(x), nil
 		case int64:
@@ -163,7 +164,7 @@ func Coerce(t Type, v Value) (Value, error) {
 	case Bool:
 		switch x := v.(type) {
 		case bool:
-			return x, nil
+			return v, nil
 		case string:
 			if b, err := ParseBool(x); err == nil {
 				return b, nil
@@ -172,7 +173,7 @@ func Coerce(t Type, v Value) (Value, error) {
 	case Time:
 		switch x := v.(type) {
 		case time.Time:
-			return x, nil
+			return v, nil
 		case string:
 			if ts, err := ParseTime(x); err == nil {
 				return ts, nil

@@ -56,7 +56,7 @@ func sameCell(a, b relational.Value) bool {
 }
 
 // assertSameVector compares everything a vector exports: shape, null
-// bitmap, dictionary, counts, codes, typed payload, and chunk stamps.
+// bitmap, dictionary, counts, codes and typed payload.
 func assertSameVector(t *testing.T, name string, got, want *relational.ColumnVector) {
 	t.Helper()
 	if got.Type() != want.Type() || got.Len() != want.Len() || got.NullCount() != want.NullCount() {
@@ -85,7 +85,6 @@ func assertSameVector(t *testing.T, name string, got, want *relational.ColumnVec
 	})
 	same("bools", len(got.Bools()), len(want.Bools()), func(i int) bool { return got.Bools()[i] == want.Bools()[i] })
 	same("times", len(got.Times()), len(want.Times()), func(i int) bool { return got.Times()[i].Equal(want.Times()[i]) })
-	same("chunk stamps", got.Chunks(), want.Chunks(), func(k int) bool { return got.ChunkStamp(k) == want.ChunkStamp(k) })
 }
 
 // assertSameDatabase compares a loaded database with its original table
