@@ -3,47 +3,14 @@ package profile
 import (
 	"math"
 	"sort"
-	"strconv"
+	"strings"
 
 	"efes/internal/relational"
 )
 
 // This file holds the helpers the sharded kernels (shard.go) share: the
-// coercion classifier and row-path fallback, the finishers that turn
-// merged counts into Distinct, Constancy and TopK, and the bounded top-k
-// heap.
-
-// impossibleCoercion reports whether no non-NULL canonical value of type
-// src can coerce to dst (the Coerce switch has no case for the pair), so
-// the whole column can be classified without per-row error construction.
-func impossibleCoercion(src, dst relational.Type) bool {
-	switch src {
-	case relational.Integer, relational.Float:
-		return dst == relational.Bool || dst == relational.Time
-	case relational.Bool:
-		return dst == relational.Integer || dst == relational.Float || dst == relational.Time
-	case relational.Time:
-		return dst == relational.Integer || dst == relational.Float || dst == relational.Bool
-	}
-	return false
-}
-
-// coercedFallback materializes the column and replicates the row path:
-// coerce every value, drop failures, profile the survivors.
-func coercedFallback(table, column string, vec *relational.ColumnVector, typ relational.Type) (*ColumnStats, int) {
-	n := vec.Len()
-	coerced := make([]relational.Value, 0, n)
-	incompatible := 0
-	for i := 0; i < n; i++ {
-		cv, err := relational.Coerce(typ, vec.Value(i))
-		if err != nil {
-			incompatible++
-			continue
-		}
-		coerced = append(coerced, cv)
-	}
-	return Values(table, column, typ, coerced), incompatible
-}
+// finishers that turn merged counts into Distinct, Constancy and TopK,
+// and the bounded top-k heap.
 
 // newStats seeds a ColumnStats with the row-count statistics shared by
 // every kernel.
@@ -54,84 +21,6 @@ func newStats(table, column string, typ relational.Type, rows, nulls int) *Colum
 	}
 	cs.Patterns = []ValueCount{}
 	return cs
-}
-
-// boolToString profiles a boolean column rendered as strings.
-//
-//efes:hot
-func boolToString(table, column string, vec *relational.ColumnVector) *ColumnStats {
-	bools, nulls := vec.Bools(), vec.Nulls()
-	strs := make([]string, 0, 2)
-	occ := make([]int, 0, 2)
-	codes := make([]int32, len(bools))
-	tIdx, fIdx := int32(-1), int32(-1)
-	for i, x := range bools {
-		if nulls.Get(i) {
-			continue
-		}
-		if x {
-			if tIdx < 0 {
-				tIdx = int32(len(strs))
-				strs = append(strs, "true")
-				occ = append(occ, 0)
-			}
-			occ[tIdx]++
-			codes[i] = tIdx
-		} else {
-			if fIdx < 0 {
-				fIdx = int32(len(strs))
-				strs = append(strs, "false")
-				occ = append(occ, 0)
-			}
-			occ[fIdx]++
-			codes[i] = fIdx
-		}
-	}
-	cs := newStats(table, column, relational.String, vec.Len(), vec.NullCount())
-	stringKernelDictSharded(cs, strs, occ, codes, nulls, 1)
-	return cs
-}
-
-// floatKey keys a float for distinct counting: its bit pattern with NaNs
-// canonicalized so that every NaN payload collapses to the single "NaN"
-// rendering. Shared with the columnar substrate (relational.FloatKey).
-func floatKey(x float64) uint64 { return relational.FloatKey(x) }
-
-// finishInts derives Distinct, Constancy and TopK from a typed integer
-// count map. Values are rendered only when the top-k heap needs them.
-//
-//efes:hot
-func finishInts(cs *ColumnStats, cnt map[int64]int, nonNull int) {
-	cs.Distinct = len(cnt)
-	mult := make(map[int]int)
-	tk := newTopK()
-	var cur int64
-	lazy := func() string { return strconv.FormatInt(cur, 10) }
-	for x, n := range cnt {
-		mult[n]++
-		cur = x
-		tk.consider(n, lazy)
-	}
-	cs.Constancy = constancyFromMult(mult, len(cnt), nonNull)
-	finishTopK(cs, tk, nonNull)
-}
-
-// finishFloats is finishInts for bit-keyed float count maps.
-//
-//efes:hot
-func finishFloats(cs *ColumnStats, cnt map[uint64]int, nonNull int) {
-	cs.Distinct = len(cnt)
-	mult := make(map[int]int)
-	tk := newTopK()
-	var cur uint64
-	lazy := func() string { return strconv.FormatFloat(math.Float64frombits(cur), 'g', -1, 64) }
-	for b, n := range cnt {
-		mult[n]++
-		cur = b
-		tk.consider(n, lazy)
-	}
-	cs.Constancy = constancyFromMult(mult, len(cnt), nonNull)
-	finishTopK(cs, tk, nonNull)
 }
 
 // finishBools derives the count statistics of a boolean view.
@@ -154,22 +43,6 @@ func finishBools(cs *ColumnStats, nTrue, nFalse, nonNull int) {
 	finishTopK(cs, tk, nonNull)
 }
 
-// finishStringCounts derives the count statistics from a rendered-value
-// count map (timestamp views).
-//
-//efes:hot
-func finishStringCounts(cs *ColumnStats, cnt map[string]int, nonNull int) {
-	cs.Distinct = len(cnt)
-	mult := make(map[int]int)
-	tk := newTopK()
-	for s, n := range cnt {
-		mult[n]++
-		tk.considerString(n, s)
-	}
-	cs.Constancy = constancyFromMult(mult, len(cnt), nonNull)
-	finishTopK(cs, tk, nonNull)
-}
-
 // finishNumeric fills the numeric statistics from the dense row-order
 // value vector, using the seed's own helpers so the float operation
 // sequence is identical by construction.
@@ -183,13 +56,16 @@ func finishNumeric(cs *ColumnStats, xs []float64) {
 	cs.NumHist = histogramOf(xs, cs.Min, cs.Max)
 }
 
-// finishTopK sorts the heap's survivors with the seed comparator and
-// computes the coverage share.
+// finishTopK sorts the heap's survivors with the seed comparator, copies
+// their values, and computes the coverage share. A value sliced from a
+// dictionary shares that dictionary's one backing string, so without
+// the copy a memoized profile would keep the whole dictionary alive.
 func finishTopK(cs *ColumnStats, tk *topK, nonNull int) {
 	cs.TopK = tk.sorted()
 	covered := 0
-	for _, vc := range cs.TopK {
-		covered += vc.Count
+	for i := range cs.TopK {
+		cs.TopK[i].Value = strings.Clone(cs.TopK[i].Value)
+		covered += cs.TopK[i].Count
 	}
 	if nonNull > 0 {
 		cs.TopKCoverage = float64(covered) / float64(nonNull)

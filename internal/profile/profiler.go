@@ -313,10 +313,11 @@ func (p *Profiler) ColumnCoerced(db *relational.Database, table, column string, 
 // ColumnCoercedContext is ColumnCoerced with cancellation. Viewing a
 // column through its declared type changes no value, so that view is the
 // raw profile: the same memo entry and disk key as ColumnContext, with no
-// incompatible values. The view of an integer column as strings is
-// derived from the column's raw profile, which it looks up (memo, store,
-// or compute) like ColumnContext; an error from that lookup fails the
-// view.
+// incompatible values. Any other view profiles the column
+// relational.Coerced derives (FromVectorCoercedSharded), except the view
+// of an integer column as strings, which is derived from the column's
+// raw profile; that profile is looked up (memo, store, or compute) like
+// ColumnContext, and an error from the lookup fails the view.
 func (p *Profiler) ColumnCoercedContext(ctx context.Context, db *relational.Database, table, column string, typ relational.Type) (*ColumnStats, int, error) {
 	col, err := lookupColumn(db, table, column)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unicode/utf8"
 
 	"efes/internal/relational"
@@ -16,10 +15,12 @@ import (
 // This file holds the profiling kernels: fused statistics computed over
 // the columnar substrate (relational.ColumnVector) as mergeable per-chunk
 // partial summaries by a pool of workers, reduced in chunk index order.
-// Every kernel is bit-identical to Values, the seed row-path
-// implementation, which stays in stats.go as the test oracle (and serves
-// the rare coercions in coercedFallback). The identity arguments, per
-// statistic:
+// There is one kernel per column type and, apart from intStringView, none
+// per coercion: a column seen through another type is profiled as the
+// vector relational.Coerced derives, so only internal/relational knows
+// which values convert and how they render. Every kernel is
+// bit-identical to Values, the seed row-path implementation, which stays
+// in stats.go as the test oracle. The identity arguments, per statistic:
 //
 //   - Fill, Distinct, TopKCoverage: integer arithmetic, order-free.
 //   - Constancy: the seed sums -p*log2(p) over counts sorted (count desc,
@@ -130,51 +131,24 @@ func FromVectorSharded(table, column string, vec *relational.ColumnVector, worke
 	case relational.Bool:
 		boolKernelSharded(cs, vec.Bools(), vec.Nulls(), workers)
 	case relational.Time:
-		timeKernelSharded(cs, vec.Times(), vec.Nulls(), workers)
+		timeKernel(cs, vec)
 	}
 	return cs
 }
 
 // FromVectorCoercedSharded profiles a column viewed through a coercion
 // target type: the columnar equivalent of the Profiler's ColumnCoerced
-// view, bit-identical to the row path at any worker count. Values that
-// cannot be coerced are dropped and counted (the second return);
-// survivors (including NULLs) are profiled under typ. For string sources
-// the coercion runs once per distinct dictionary entry instead of once
-// per row. The rare fallback combinations (e.g. Time rendered to String)
-// stay sequential — they are never hot.
+// view, bit-identical to the row path at any worker count. It profiles
+// the view relational.Coerced derives, which keeps the NULLs and drops
+// the values that do not convert; their count is the second return. An
+// integer column viewed as text is the exception: intStringView derives
+// that view from the column's raw profile without rendering a row.
 func FromVectorCoercedSharded(table, column string, vec *relational.ColumnVector, typ relational.Type, workers int) (*ColumnStats, int) {
-	src := vec.Type()
-	if typ == src {
-		return FromVectorSharded(table, column, vec, workers), 0
+	if vec.Type() == relational.Integer && typ == relational.String {
+		return intStringView(table, column, vec, FromVectorSharded(table, column, vec, workers)), 0
 	}
-	if impossibleCoercion(src, typ) {
-		// Every non-NULL value fails to coerce; only NULLs survive.
-		return Values(table, column, typ, make([]relational.Value, vec.NullCount())), vec.Len() - vec.NullCount()
-	}
-	switch src {
-	case relational.String:
-		return coercedFromStringSharded(table, column, vec, typ, workers)
-	case relational.Integer:
-		switch typ {
-		case relational.Float:
-			return intToFloatSharded(table, column, vec, workers), 0
-		case relational.String:
-			return intStringView(table, column, vec, intCountStats(vec, workers)), 0
-		}
-	case relational.Float:
-		switch typ {
-		case relational.Integer:
-			return floatToIntSharded(table, column, vec, workers)
-		case relational.String:
-			return floatToStringSharded(table, column, vec, workers), 0
-		}
-	case relational.Bool:
-		if typ == relational.String {
-			return boolToString(table, column, vec), 0 // two-entry dict: nothing to shard
-		}
-	}
-	return coercedFallback(table, column, vec, typ)
+	view, dropped := vec.Coerced(typ)
+	return FromVectorSharded(table, column, view, workers), dropped
 }
 
 // concatChunks stitches per-chunk dense vectors back into one row-order
@@ -322,9 +296,9 @@ func intRuns(vals []int64) valueRuns[int64] {
 	return sortedRuns(vals)
 }
 
-// finishIntRuns feeds the merged runs into the same accumulators
-// finishInts drives off a count map — bit-identical output with no
-// global hash table.
+// finishIntRuns feeds the merged runs into the accumulators a count map
+// over the whole column would feed — bit-identical output with no global
+// hash table.
 //
 //efes:hot
 func finishIntRuns(cs *ColumnStats, runs []valueRuns[int64], nonNull int) {
@@ -411,7 +385,7 @@ func floatKernelSharded(cs *ColumnStats, floats []float64, nulls *relational.Bit
 			// No NULLs: the typed vector itself serves as the dense
 			// row-order vector, so only the keys are collected.
 			for i := lo; i < hi; i++ {
-				keys = append(keys, floatKey(floats[i]))
+				keys = append(keys, relational.FloatKey(floats[i]))
 			}
 			runs[k] = sortedRuns(keys)
 			return
@@ -421,7 +395,7 @@ func floatKernelSharded(cs *ColumnStats, floats []float64, nulls *relational.Bit
 			if nulls.Get(i) {
 				continue
 			}
-			keys = append(keys, floatKey(floats[i]))
+			keys = append(keys, relational.FloatKey(floats[i]))
 			xs = append(xs, floats[i])
 		}
 		runs[k] = sortedRuns(keys)
@@ -483,33 +457,24 @@ func boolKernelSharded(cs *ColumnStats, bools []bool, nulls *relational.Bitmap, 
 	finishNumeric(cs, concatChunks(xss, nonNull))
 }
 
-// timeKernelSharded profiles a timestamp column over per-chunk partials.
-// Timestamps contribute no numeric or string statistics in the seed (the
-// Values type switch has no time case), only rendered-value counts.
+// timeKernel profiles a timestamp column. Timestamps contribute no
+// numeric or string statistics in the seed (the Values type switch has
+// no time case), only the counts of their renderings: the dictionary of
+// the column's text view.
 //
 //efes:hot
-func timeKernelSharded(cs *ColumnStats, times []time.Time, nulls *relational.Bitmap, workers int) {
-	nonNull := cs.Rows - cs.Nulls
-	chunks := chunkCount(len(times))
-	cnts := make([]map[string]int, chunks)
-	shardRun(chunks, workers, func(k int) {
-		lo, hi := chunkSpan(k, len(times))
-		cnt := make(map[string]int)
-		for i := lo; i < hi; i++ {
-			if nulls.Get(i) {
-				continue
-			}
-			cnt[times[i].Format(time.RFC3339)]++
-		}
-		cnts[k] = cnt
-	})
-	cnt := make(map[string]int)
-	for _, p := range cnts {
-		for s, n := range p {
-			cnt[s] += n
-		}
+func timeKernel(cs *ColumnStats, vec *relational.ColumnVector) {
+	text, _ := vec.Coerced(relational.String)
+	nonNull, counts := cs.Rows-cs.Nulls, text.Counts()
+	mult := make(map[int]int)
+	tk := newTopK()
+	for c, s := range text.Dict() {
+		mult[counts[c]]++
+		tk.considerString(counts[c], s)
 	}
-	finishStringCounts(cs, cnt, nonNull)
+	cs.Distinct = len(counts)
+	cs.Constancy = constancyFromMult(mult, len(counts), nonNull)
+	finishTopK(cs, tk, nonNull)
 }
 
 // stringPartial is one dictionary shard's contribution to the fused
@@ -535,8 +500,8 @@ type stringPartial struct {
 // top-k, each distinct string once, weighted by its occurrence count.
 // Partial tallies merge by integer sums, and the row-order two-pass
 // string-length accumulation stays sequential so its float sequence
-// matches the seed exactly. It serves the raw string column and the
-// derived to-string views (floatToStringSharded, boolToString).
+// matches the seed exactly. It serves string columns and the text views
+// relational.Coerced derives from the other types.
 //
 //efes:hot
 func stringKernelDictSharded(cs *ColumnStats, strs []string, occ []int, codes []int32, nulls *relational.Bitmap, workers int) {
@@ -652,309 +617,6 @@ func stringKernelDictSharded(cs *ColumnStats, strs []string, occ []int, codes []
 	finishTopK(cs, tk, nonNull)
 }
 
-// coercedFromStringSharded profiles a string column viewed through
-// another type. Coercion (parsing) runs once per distinct dictionary
-// entry via the typed relational.Parse* helpers — the exact string
-// semantics of the row path's relational.Coerce, minus the per-value
-// interface boxing; rows whose entry fails to parse are dropped as
-// incompatible. The parse and tally loops are sharded over the
-// dictionary, and the dense row-order vector is built from per-chunk
-// slices concatenated in chunk order.
-//
-//efes:hot
-func coercedFromStringSharded(table, column string, vec *relational.ColumnVector, typ relational.Type, workers int) (*ColumnStats, int) {
-	dict, occ, codes, nulls := vec.Dict(), vec.Counts(), vec.Codes(), vec.Nulls()
-	dictChunks := chunkCount(len(dict))
-	ok := make([]bool, len(dict))
-	bad := make([]int, dictChunks)
-
-	switch typ {
-	case relational.Integer:
-		vals := make([]int64, len(dict))
-		shardRun(dictChunks, workers, func(k int) {
-			lo, hi := chunkSpan(k, len(dict))
-			for c := lo; c < hi; c++ {
-				n, err := relational.ParseInt(dict[c])
-				if err != nil {
-					bad[k] += occ[c]
-					continue
-				}
-				vals[c], ok[c] = n, true
-			}
-		})
-		incompatible := sumInts(bad)
-		cs := newStats(table, column, typ, vec.Len()-incompatible, vec.NullCount())
-		nonNull := cs.Rows - cs.Nulls
-		cnts := make([]map[int64]int, dictChunks)
-		shardRun(dictChunks, workers, func(k int) {
-			lo, hi := chunkSpan(k, len(dict))
-			cnt := make(map[int64]int)
-			for c := lo; c < hi; c++ {
-				if ok[c] {
-					cnt[vals[c]] += occ[c]
-				}
-			}
-			cnts[k] = cnt
-		})
-		cnt := make(map[int64]int)
-		for _, p := range cnts {
-			for x, n := range p {
-				cnt[x] += n
-			}
-		}
-		xs := denseFromCodes(codes, nulls, ok, nonNull, workers, func(c int32) float64 { return float64(vals[c]) })
-		finishInts(cs, cnt, nonNull)
-		finishNumeric(cs, xs)
-		return cs, incompatible
-	case relational.Float:
-		vals := make([]float64, len(dict))
-		shardRun(dictChunks, workers, func(k int) {
-			lo, hi := chunkSpan(k, len(dict))
-			for c := lo; c < hi; c++ {
-				f, err := relational.ParseFloat(dict[c])
-				if err != nil {
-					bad[k] += occ[c]
-					continue
-				}
-				vals[c], ok[c] = f, true
-			}
-		})
-		incompatible := sumInts(bad)
-		cs := newStats(table, column, typ, vec.Len()-incompatible, vec.NullCount())
-		nonNull := cs.Rows - cs.Nulls
-		cnts := make([]map[uint64]int, dictChunks)
-		shardRun(dictChunks, workers, func(k int) {
-			lo, hi := chunkSpan(k, len(dict))
-			cnt := make(map[uint64]int)
-			for c := lo; c < hi; c++ {
-				if ok[c] {
-					cnt[floatKey(vals[c])] += occ[c]
-				}
-			}
-			cnts[k] = cnt
-		})
-		cnt := make(map[uint64]int)
-		for _, p := range cnts {
-			for b, n := range p {
-				cnt[b] += n
-			}
-		}
-		xs := denseFromCodes(codes, nulls, ok, nonNull, workers, func(c int32) float64 { return vals[c] })
-		finishFloats(cs, cnt, nonNull)
-		finishNumeric(cs, xs)
-		return cs, incompatible
-	case relational.Bool:
-		vals := make([]bool, len(dict))
-		shardRun(dictChunks, workers, func(k int) {
-			lo, hi := chunkSpan(k, len(dict))
-			for c := lo; c < hi; c++ {
-				b, err := relational.ParseBool(dict[c])
-				if err != nil {
-					bad[k] += occ[c]
-					continue
-				}
-				vals[c], ok[c] = b, true
-			}
-		})
-		incompatible := sumInts(bad)
-		cs := newStats(table, column, typ, vec.Len()-incompatible, vec.NullCount())
-		nonNull := cs.Rows - cs.Nulls
-		nTrue, nFalse := 0, 0
-		for c := range dict {
-			if !ok[c] {
-				continue
-			}
-			if vals[c] {
-				nTrue += occ[c]
-			} else {
-				nFalse += occ[c]
-			}
-		}
-		xs := denseFromCodes(codes, nulls, ok, nonNull, workers, func(c int32) float64 {
-			if vals[c] {
-				return 1
-			}
-			return 0
-		})
-		finishBools(cs, nTrue, nFalse, nonNull)
-		finishNumeric(cs, xs)
-		return cs, incompatible
-	default: // relational.Time
-		strs := make([]string, len(dict))
-		shardRun(dictChunks, workers, func(k int) {
-			lo, hi := chunkSpan(k, len(dict))
-			for c := lo; c < hi; c++ {
-				ts, err := relational.ParseTime(dict[c])
-				if err != nil {
-					bad[k] += occ[c]
-					continue
-				}
-				strs[c], ok[c] = relational.FormatTime(ts), true
-			}
-		})
-		incompatible := sumInts(bad)
-		cs := newStats(table, column, typ, vec.Len()-incompatible, vec.NullCount())
-		nonNull := cs.Rows - cs.Nulls
-		cnts := make([]map[string]int, dictChunks)
-		shardRun(dictChunks, workers, func(k int) {
-			lo, hi := chunkSpan(k, len(dict))
-			cnt := make(map[string]int)
-			for c := lo; c < hi; c++ {
-				if ok[c] {
-					cnt[strs[c]] += occ[c]
-				}
-			}
-			cnts[k] = cnt
-		})
-		cnt := make(map[string]int)
-		for _, p := range cnts {
-			for s, n := range p {
-				cnt[s] += n
-			}
-		}
-		finishStringCounts(cs, cnt, nonNull)
-		return cs, incompatible
-	}
-}
-
-// denseFromCodes builds the dense row-order float vector of a coerced
-// string column (rows whose dict entry failed to parse are dropped), one
-// chunk of the code vector per shard, concatenated in chunk order.
-//
-//efes:hot
-func denseFromCodes(codes []int32, nulls *relational.Bitmap, ok []bool, nonNull, workers int, val func(int32) float64) []float64 {
-	chunks := chunkCount(len(codes))
-	xss := make([][]float64, chunks)
-	shardRun(chunks, workers, func(k int) {
-		lo, hi := chunkSpan(k, len(codes))
-		xs := make([]float64, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			if nulls.Get(i) || !ok[codes[i]] {
-				continue
-			}
-			xs = append(xs, val(codes[i]))
-		}
-		xss[k] = xs
-	})
-	return concatChunks(xss, nonNull)
-}
-
-// sumInts totals per-shard integer tallies.
-func sumInts(xs []int) int {
-	n := 0
-	for _, x := range xs {
-		n += x
-	}
-	return n
-}
-
-// intToFloatSharded profiles an integer column viewed as float (never
-// fails) over per-chunk partials.
-//
-//efes:hot
-func intToFloatSharded(table, column string, vec *relational.ColumnVector, workers int) *ColumnStats {
-	ints, nulls := vec.Ints(), vec.Nulls()
-	cs := newStats(table, column, relational.Float, vec.Len(), vec.NullCount())
-	nonNull := cs.Rows - cs.Nulls
-	chunks := chunkCount(len(ints))
-	cnts := make([]map[uint64]int, chunks)
-	xss := make([][]float64, chunks)
-	shardRun(chunks, workers, func(k int) {
-		lo, hi := chunkSpan(k, len(ints))
-		cnt := make(map[uint64]int)
-		xs := make([]float64, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			if nulls.Get(i) {
-				continue
-			}
-			f := float64(ints[i]) // may collapse >2^53 magnitudes, exactly as Coerce does
-			cnt[floatKey(f)]++
-			xs = append(xs, f)
-		}
-		cnts[k], xss[k] = cnt, xs
-	})
-	cnt := make(map[uint64]int)
-	for _, p := range cnts {
-		for b, n := range p {
-			cnt[b] += n
-		}
-	}
-	finishFloats(cs, cnt, nonNull)
-	finishNumeric(cs, concatChunks(xss, nonNull))
-	return cs
-}
-
-// floatToIntSharded profiles a float column viewed as integer over
-// per-chunk partials: only integral, finite values coerce (the seed's
-// Trunc check, replicated per row).
-//
-//efes:hot
-func floatToIntSharded(table, column string, vec *relational.ColumnVector, workers int) (*ColumnStats, int) {
-	floats, nulls := vec.Floats(), vec.Nulls()
-	chunks := chunkCount(len(floats))
-	cnts := make([]map[int64]int, chunks)
-	xss := make([][]float64, chunks)
-	bad := make([]int, chunks)
-	shardRun(chunks, workers, func(k int) {
-		lo, hi := chunkSpan(k, len(floats))
-		cnt := make(map[int64]int)
-		xs := make([]float64, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			if nulls.Get(i) {
-				continue
-			}
-			x := floats[i]
-			if x != math.Trunc(x) || math.IsInf(x, 0) {
-				bad[k]++
-				continue
-			}
-			v := int64(x)
-			cnt[v]++
-			xs = append(xs, float64(v))
-		}
-		cnts[k], xss[k] = cnt, xs
-	})
-	incompatible := sumInts(bad)
-	cnt := make(map[int64]int)
-	total := 0
-	for _, p := range cnts {
-		for x, n := range p {
-			cnt[x] += n
-		}
-	}
-	for _, xs := range xss {
-		total += len(xs)
-	}
-	cs := newStats(table, column, relational.Integer, vec.Len()-incompatible, vec.NullCount())
-	finishInts(cs, cnt, cs.Rows-cs.Nulls)
-	finishNumeric(cs, concatChunks(xss, total))
-	return cs, incompatible
-}
-
-// intCountStats returns the count statistics of an integer column —
-// Distinct, Constancy, TopK and TopKCoverage, the part of its raw profile
-// intStringView reads — for callers that have no raw profile at hand.
-//
-//efes:hot
-func intCountStats(vec *relational.ColumnVector, workers int) *ColumnStats {
-	ints, nulls := vec.Ints(), vec.Nulls()
-	chunks := chunkCount(len(ints))
-	runs := make([]valueRuns[int64], chunks)
-	shardRun(chunks, workers, func(k int) {
-		lo, hi := chunkSpan(k, len(ints))
-		vals := make([]int64, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			if !nulls.Get(i) {
-				vals = append(vals, ints[i])
-			}
-		}
-		runs[k] = intRuns(vals)
-	})
-	cs := new(ColumnStats)
-	finishIntRuns(cs, runs, vec.Len()-vec.NullCount())
-	return cs
-}
-
 // intStringView profiles an integer column viewed as strings, given raw,
 // the column's own profile. Canonical decimal rendering is injective and
 // top-k ties already break by the rendered string, so raw's Distinct,
@@ -1049,36 +711,4 @@ func decimalLen(v int64) int {
 		n++
 	}
 	return n
-}
-
-// floatToStringSharded renders the derived dictionary sequentially (code
-// assignment follows first occurrence in row order) and runs the sharded
-// string kernel over it.
-//
-//efes:hot
-func floatToStringSharded(table, column string, vec *relational.ColumnVector, workers int) *ColumnStats {
-	floats, nulls := vec.Floats(), vec.Nulls()
-	nonNull := vec.Len() - vec.NullCount()
-	m := make(map[uint64]int32)
-	strs := make([]string, 0, nonNull)
-	occ := make([]int, 0, nonNull)
-	codes := make([]int32, len(floats))
-	for i, x := range floats {
-		if nulls.Get(i) {
-			continue
-		}
-		k := floatKey(x)
-		c, seen := m[k]
-		if !seen {
-			c = int32(len(strs))
-			m[k] = c
-			strs = append(strs, strconv.FormatFloat(x, 'g', -1, 64))
-			occ = append(occ, 0)
-		}
-		occ[c]++
-		codes[i] = c
-	}
-	cs := newStats(table, column, relational.String, vec.Len(), vec.NullCount())
-	stringKernelDictSharded(cs, strs, occ, codes, nulls, workers)
-	return cs
 }

@@ -43,19 +43,19 @@ func TestShardedMultiChunk(t *testing.T) {
 			statsEqual(t, ctx, want, FromVectorSharded("t", "c", vec, workers))
 		}
 		// One coercion per source type keeps the runtime sane while
-		// still exercising every sharded coerced kernel.
+		// still profiling a view of every source type past one chunk.
 		var dst relational.Type
 		switch typ {
 		case relational.String:
-			dst = relational.Integer // coercedFromStringSharded
+			dst = relational.Integer // parsed dictionary → int kernel
 		case relational.Integer:
-			dst = relational.String // intStringView over intCountStats
+			dst = relational.String // intStringView over the raw profile
 		case relational.Float:
-			dst = relational.Integer // floatToIntSharded
+			dst = relational.Integer // float→int view → int kernel
 		case relational.Bool:
-			dst = relational.String
+			dst = relational.String // text view → string kernel
 		default:
-			dst = relational.String // coercedFallback
+			dst = relational.String // text view → string kernel
 		}
 		wantC, wantInc := oracleCoerced("t", "c", dst, values)
 		for _, workers := range shardWorkerCounts {
@@ -69,31 +69,30 @@ func TestShardedMultiChunk(t *testing.T) {
 	}
 }
 
-// TestShardedMultiChunkDictionary drives the dictionary-sharded string
-// kernel across shard boundaries: more than ChunkSize distinct values,
-// so the dict fan-out, the per-shard top-k survivor merge, and the
-// disjoint runeLens writes all span multiple shards.
+// TestShardedMultiChunkDictionary profiles columns of more than
+// ChunkSize distinct values: an int column, raw and through
+// intStringView, and a float column viewed as text, whose view's
+// dictionary drives the dictionary-sharded string kernel across shard
+// boundaries, so the dict fan-out, the per-shard top-k survivor merge,
+// and the disjoint runeLens writes all span multiple shards.
 func TestShardedMultiChunkDictionary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-chunk dictionaries are slow to build")
 	}
 	const n = relational.ChunkSize + 1000
 	s := relational.NewSchema("prop")
-	tab, err := relational.NewTable("t", relational.Column{Name: "c", Type: relational.Integer})
-	if err != nil {
-		t.Fatalf("NewTable: %v", err)
-	}
-	if err := s.AddTable(tab); err != nil {
-		t.Fatalf("AddTable: %v", err)
-	}
+	s.MustAddTable(relational.MustTable("t",
+		relational.Column{Name: "c", Type: relational.Integer},
+		relational.Column{Name: "f", Type: relational.Float}))
 	db := relational.NewDatabase(s)
 	for i := 0; i < n; i++ {
-		db.MustInsert("t", int64(i)) // all distinct: derived dict > ChunkSize entries
+		db.MustInsert("t", int64(i), float64(i)+0.5) // all distinct
 	}
 	values := db.MustColumn("t", "c")
 	vec := db.Vector("t", "c")
 	want := Values("t", "c", relational.Integer, values)
 	wantS, _ := oracleCoerced("t", "c", relational.String, values)
+	wantF, _ := oracleCoerced("t", "f", relational.String, db.MustColumn("t", "f"))
 	for _, workers := range shardWorkerCounts {
 		w := strconv.Itoa(workers)
 		statsEqual(t, "int/alldistinct/w"+w, want, FromVectorSharded("t", "c", vec, workers))
@@ -102,6 +101,11 @@ func TestShardedMultiChunkDictionary(t *testing.T) {
 			t.Errorf("int->string: unexpected incompatible %d", inc)
 		}
 		statsEqual(t, "int->string/alldistinct/w"+w, wantS, gotS)
+		gotF, inc := FromVectorCoercedSharded("t", "f", db.Vector("t", "f"), relational.String, workers)
+		if inc != 0 {
+			t.Errorf("float->string: unexpected incompatible %d", inc)
+		}
+		statsEqual(t, "float->string/alldistinct/w"+w, wantF, gotF)
 	}
 }
 

@@ -129,8 +129,10 @@ func MustColumn(db *relational.Database, table, column string) *ColumnStats {
 	return cs
 }
 
-// Values profiles a raw value slice. It is the workhorse behind Column and
-// is exported so that detectors can profile derived (virtual) columns.
+// Values profiles a raw value slice the row-at-a-time way: it renders
+// every value and counts the renderings. It is the test oracle of the
+// columnar kernels, which must match it bit for bit (shard.go); no
+// production path calls it.
 func Values(table, column string, typ relational.Type, values []relational.Value) *ColumnStats {
 	cs := &ColumnStats{Table: table, Column: column, Type: typ, Rows: len(values)}
 	counts := make(map[string]int, len(values)/4+1)

@@ -16,8 +16,9 @@ import (
 // are the only owner of a table's data: Insert and ReadCSV append to
 // them, and the profiling kernels, the schema matcher, the CSG interner,
 // the discovery merge-joins and WriteCSV read them. The row API (Rows)
-// is a view derived from them. Concurrent readers are safe, but an
-// append must not race with reads.
+// is a view derived from them, and so is a column seen through another
+// type (Coerced). Concurrent readers are safe, but an append must not
+// race with reads.
 
 // ChunkSize is the number of rows (or, for string columns, dictionary
 // entries) per profiling chunk: the unit of work the sharded profiling
@@ -58,8 +59,9 @@ func (b *Bitmap) set(i int) {
 //
 // The dictionary entries a vector held when it was sealed share one
 // backing string (see dict.go). A dictionary string kept beyond the
-// vector, such as a memoized profile's top-k value, therefore keeps that
-// whole string alive, and with it the column's string storage.
+// vector therefore keeps that whole string alive, and with it the
+// column's string storage, so a profile copies the top-k values it
+// keeps.
 type ColumnVector struct {
 	typ    Type
 	length int
@@ -256,6 +258,113 @@ func (v *ColumnVector) computeSortedDistinct() []string {
 		sort.Strings(out)
 		return out
 	}
+}
+
+// Coerced returns the column as Coerce converts each of its values to t,
+// and the number of values that do not convert. The view keeps the
+// column's row order and its NULLs, and leaves out each row whose value
+// does not convert, so it holds Len() - dropped rows. A string column's
+// dictionary entries are parsed once each, with the Parse helpers. A
+// view as String renders each value into one reused buffer and interns
+// it as pushField interns a CSV field, so no row allocates; its
+// dictionary holds the distinct renderings in first-occurrence order.
+// Through its own type a column is its own view. A view, like every
+// vector, must not be mutated.
+//
+// Coerced is the one place where it is decided which values convert and
+// into what: the profiler views a source column through its target's
+// type with it (value fit, §5 of the paper).
+//
+//efes:hot
+func (v *ColumnVector) Coerced(t Type) (view *ColumnVector, dropped int) {
+	if t == v.typ {
+		return v, 0
+	}
+	view = newColumnVector(t)
+	switch {
+	case t == String:
+		view.reserve(v.length)
+		var buf []byte
+		for i := 0; i < v.length; i++ {
+			if v.nulls.Get(i) {
+				view.pushNull()
+				continue
+			}
+			buf = v.appendValue(buf[:0], i)
+			view.pushField(buf)
+		}
+	case v.typ == String && t == Integer:
+		view.ints, dropped = parseRows(v, view, ParseInt)
+	case v.typ == String && t == Float:
+		view.floats, dropped = parseRows(v, view, ParseFloat)
+	case v.typ == String && t == Bool:
+		view.bools, dropped = parseRows(v, view, ParseBool)
+	case v.typ == String && t == Time:
+		view.times, dropped = parseRows(v, view, ParseTime)
+	case v.typ == Integer && t == Float:
+		view.floats, dropped = convertRows(v, view, v.ints, func(x int64) (float64, bool) { return float64(x), true })
+	case v.typ == Float && t == Integer:
+		view.ints, dropped = convertRows(v, view, v.floats, floatToInt)
+	default: // Coerce converts no value of this type to t
+		for i := 0; i < v.nullCount; i++ {
+			view.pushNull()
+		}
+		dropped = v.length - v.nullCount
+	}
+	view.seal()
+	return view, dropped
+}
+
+// parseRows is convertRows over a string column's codes, each dictionary
+// entry parsed once by parse.
+func parseRows[T any](v, view *ColumnVector, parse func(string) (T, error)) ([]T, int) {
+	vals := make([]T, len(v.dict))
+	ok := make([]bool, len(v.dict))
+	for c, s := range v.dict {
+		x, err := parse(s)
+		vals[c], ok[c] = x, err == nil
+	}
+	return convertRows(v, view, v.codes, func(c int32) (T, bool) { return vals[c], ok[c] })
+}
+
+// convertRows fills view from src, the typed slice of v, and returns the
+// view's typed slice and the number of dropped rows: a NULL row stays
+// NULL, and each other row holds conv of its value, or is dropped when
+// conv reports false.
+//
+//efes:hot
+func convertRows[S, T any](v, view *ColumnVector, src []S, conv func(S) (T, bool)) (out []T, dropped int) {
+	out = make([]T, 0, len(src))
+	var zero T
+	for i, x := range src {
+		if v.nulls.Get(i) {
+			view.nulls.set(len(out))
+			view.nullCount++
+			out = append(out, zero)
+		} else if y, ok := conv(x); ok {
+			out = append(out, y)
+		} else {
+			dropped++
+		}
+	}
+	view.length = len(out)
+	return out, dropped
+}
+
+// appendValue appends the FormatValue rendering of row i, which is not
+// NULL, of a column that is not a string column.
+func (v *ColumnVector) appendValue(buf []byte, i int) []byte {
+	switch v.typ {
+	case Integer:
+		return strconv.AppendInt(buf, v.ints[i], 10)
+	case Float:
+		return strconv.AppendFloat(buf, v.floats[i], 'g', -1, 64)
+	case Bool:
+		return strconv.AppendBool(buf, v.bools[i])
+	case Time:
+		return v.times[i].AppendFormat(buf, time.RFC3339)
+	}
+	return buf
 }
 
 // pushValue appends one canonical cell to a vector. The empty string is

@@ -5,9 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
-	"time"
 	"unicode"
 	"unicode/utf8"
 )
@@ -79,23 +77,14 @@ func (db *Database) WriteCSV(table string, w io.Writer) error {
 //
 //efes:hot
 func (v *ColumnVector) appendCSV(buf []byte, i int, quoted []bool) []byte {
-	if v.nulls.Get(i) {
+	switch {
+	case v.nulls.Get(i):
 		return buf
-	}
-	switch v.typ {
-	case String:
+	case v.typ == String:
 		c := v.codes[i]
 		return appendCSVField(buf, v.dict[c], quoted[c])
-	case Integer:
-		return strconv.AppendInt(buf, v.ints[i], 10)
-	case Float:
-		return strconv.AppendFloat(buf, v.floats[i], 'g', -1, 64)
-	case Bool:
-		return strconv.AppendBool(buf, v.bools[i])
-	case Time:
-		return v.times[i].AppendFormat(buf, time.RFC3339)
 	}
-	return buf
+	return v.appendValue(buf, i)
 }
 
 // csvNeedsQuotes reports whether encoding/csv.Writer quotes the field s:

@@ -97,6 +97,16 @@ func TestCoerce(t *testing.T) {
 	if v, err := Coerce(Float, nil); err != nil || v != nil {
 		t.Errorf("Coerce(Float, nil) = %v, %v; want nil, nil", v, err)
 	}
+	// Go leaves the conversion of a float outside int64 to the
+	// implementation (amd64 yields MinInt64), so Coerce must refuse it.
+	for _, x := range []float64{1e300, -1e300, 1 << 63, 9.3e18} {
+		if v, err := Coerce(Integer, x); err == nil {
+			t.Errorf("Coerce(Integer, %g) = %v, want an error", x, v)
+		}
+	}
+	if v, err := Coerce(Integer, float64(-1<<63)); err != nil || v.(int64) != math.MinInt64 {
+		t.Errorf("Coerce(Integer, -2^63) = %v, %v; want MinInt64", v, err)
+	}
 }
 
 func TestCastable(t *testing.T) {

@@ -1,10 +1,11 @@
 package relational
 
 // Typed parse/format helpers: the string↔typed conversions behind Coerce
-// and FormatValue, exposed without interface boxing so the //efes:hot
-// kernels can convert once per dictionary entry without allocating per
-// value. Coerce and FormatValue delegate here, so the row path and the
-// fused kernels share one implementation by construction.
+// and FormatValue, exposed without interface boxing so that CSV ingest
+// (pushField) and coerced views (Coerced) convert a field or a
+// dictionary entry without allocating per value. Coerce and FormatValue
+// delegate here, so the row path and the columnar paths share one
+// implementation by construction.
 
 import (
 	"strconv"

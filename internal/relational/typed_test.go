@@ -8,7 +8,7 @@ import (
 
 // TestTypedParsersMatchCoerce pins the typed parse helpers to Coerce's
 // string semantics: same accepted spellings, same trimming, same
-// rejections. The kernels rely on this equivalence for bit-identical
+// rejections. Coerced relies on this equivalence for bit-identical
 // coerced profiles.
 func TestTypedParsersMatchCoerce(t *testing.T) {
 	inputs := []string{

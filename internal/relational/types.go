@@ -138,8 +138,8 @@ func Coerce(t Type, v Value) (Value, error) {
 		case int32:
 			return int64(x), nil
 		case float64:
-			if x == math.Trunc(x) && !math.IsInf(x, 0) {
-				return int64(x), nil
+			if n, ok := floatToInt(x); ok {
+				return n, nil
 			}
 		case string:
 			if n, err := ParseInt(x); err == nil {
@@ -181,6 +181,17 @@ func Coerce(t Type, v Value) (Value, error) {
 		}
 	}
 	return nil, fmt.Errorf("relational: cannot coerce %T(%v) to %s", v, v, t)
+}
+
+// floatToInt converts x to an Integer value when x is integral and
+// -2^63 <= x < 2^63. Go leaves the conversion of any other float, such
+// as 1e300 or an infinity, to the implementation, which on amd64 yields
+// MinInt64. Coerce and Coerced share it.
+func floatToInt(x float64) (int64, bool) {
+	if x != math.Trunc(x) || x < -(1<<63) || x >= 1<<63 {
+		return 0, false
+	}
+	return int64(x), true
 }
 
 // Castable reports whether v can be coerced to type t. NULLs are castable
