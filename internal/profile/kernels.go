@@ -25,35 +25,38 @@ func newStats(table, column string, typ relational.Type, rows, nulls int) *Colum
 
 // finishBools derives the count statistics of a boolean view.
 func finishBools(cs *ColumnStats, nTrue, nFalse, nonNull int) {
-	mult := make(map[int]int)
+	var mult multiset
 	tk := newTopK()
 	distinct := 0
 	if nTrue > 0 {
 		distinct++
-		mult[nTrue]++
+		mult.add(nTrue, 1)
 		tk.considerString(nTrue, "true")
 	}
 	if nFalse > 0 {
 		distinct++
-		mult[nFalse]++
+		mult.add(nFalse, 1)
 		tk.considerString(nFalse, "false")
 	}
 	cs.Distinct = distinct
-	cs.Constancy = constancyFromMult(mult, distinct, nonNull)
+	cs.Constancy = constancyFromMult(&mult, distinct, nonNull)
 	finishTopK(cs, tk, nonNull)
 }
 
 // finishNumeric fills the numeric statistics from the dense row-order
 // value vector, using the seed's own helpers so the float operation
-// sequence is identical by construction.
-func finishNumeric(cs *ColumnStats, xs []float64) {
+// sequence is identical by construction, and returns the least and
+// greatest value (zero for an empty vector).
+func finishNumeric[T number](cs *ColumnStats, xs []T) (lo, hi T) {
 	if len(xs) == 0 {
-		return
+		return lo, hi
 	}
+	lo, hi = minMax(xs)
 	cs.HasNumeric = true
 	cs.Mean = distOf(xs)
-	cs.Min, cs.Max = minMax(xs)
+	cs.Min, cs.Max = float64(lo), float64(hi)
 	cs.NumHist = histogramOf(xs, cs.Min, cs.Max)
+	return lo, hi
 }
 
 // finishTopK sorts the heap's survivors with the seed comparator, copies
@@ -72,22 +75,56 @@ func finishTopK(cs *ColumnStats, tk *topK, nonNull int) {
 	}
 }
 
-// constancyFromMult computes the seed's constancy from a count multiset
-// (count -> number of distinct values with that count). The seed sums
-// -p*log2(p) over entries sorted (count desc, value asc); equal counts
-// yield identical addends, so walking the count groups in descending
-// order reproduces the identical float sequence. The logarithm is taken
-// once per group, and the subtraction keeps the seed's operands and
-// their order, so each term is rounded (or fused) exactly as the seed's
-// h -= p * math.Log2(p).
+// multiset is a count multiset: for each count n, how many distinct
+// values occur n times. Counts below len(small), nearly every count of a
+// high-cardinality column, are tallied in an array and the rest in a map.
+type multiset struct {
+	small [64]int
+	large map[int]int
+}
+
+// add records k more distinct values that occur n times.
+func (m *multiset) add(n, k int) {
+	if n < len(m.small) {
+		m.small[n] += k
+		return
+	}
+	if m.large == nil {
+		m.large = make(map[int]int)
+	}
+	m.large[n] += k
+}
+
+// merge adds o's tallies to m.
+func (m *multiset) merge(o *multiset) {
+	for n, k := range o.small {
+		m.small[n] += k
+	}
+	for n, k := range o.large {
+		m.add(n, k)
+	}
+}
+
+// constancyFromMult computes the seed's constancy from a count multiset.
+// The seed sums -p*log2(p) over entries sorted (count desc, value asc);
+// equal counts yield identical addends, so walking the count groups in
+// descending order reproduces the identical float sequence. The
+// logarithm is taken once per group, and the subtraction keeps the
+// seed's operands and their order, so each term is rounded (or fused)
+// exactly as the seed's h -= p * math.Log2(p).
 //
 //efes:hot
-func constancyFromMult(mult map[int]int, distinct, nonNull int) float64 {
+func constancyFromMult(mult *multiset, distinct, nonNull int) float64 {
 	if nonNull == 0 || distinct <= 1 {
 		return 1
 	}
-	counts := make([]int, 0, len(mult))
-	for c := range mult {
+	counts := make([]int, 0, len(mult.large)+8)
+	for c, k := range mult.small {
+		if k > 0 {
+			counts = append(counts, c)
+		}
+	}
+	for c := range mult.large {
 		counts = append(counts, c)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
@@ -95,7 +132,13 @@ func constancyFromMult(mult map[int]int, distinct, nonNull int) float64 {
 	for _, c := range counts {
 		p := float64(c) / float64(nonNull)
 		l := math.Log2(p)
-		for k := 0; k < mult[c]; k++ {
+		var k int
+		if c < len(mult.small) {
+			k = mult.small[c]
+		} else {
+			k = mult.large[c]
+		}
+		for ; k > 0; k-- {
 			h -= p * l
 		}
 	}

@@ -351,7 +351,7 @@ func TestDistOf(t *testing.T) {
 	if math.Abs(d.StdDev-2) > 1e-9 {
 		t.Errorf("stddev = %v, want 2", d.StdDev)
 	}
-	if z := distOf(nil); z.Mean != 0 || z.StdDev != 0 {
+	if z := distOf([]float64(nil)); z.Mean != 0 || z.StdDev != 0 {
 		t.Errorf("distOf(nil) = %v", z)
 	}
 }

@@ -3,6 +3,7 @@ package profile
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
@@ -28,10 +29,15 @@ import (
 //     so summing count-groups in descending count order reproduces the
 //     identical float sequence without materializing or sorting the
 //     rendered values (constancyFromMult).
-//   - Mean/StdDev/Min/Max/Histogram and StringLength: the kernels collect
-//     the same float64 values in the same row order the seed appends them
-//     and run the seed's own distOf/minMax/histogramOf (or replicate the
-//     two-pass loop verbatim for string lengths).
+//   - Mean/StdDev/Min/Max/Histogram and StringLength: the kernels run the
+//     seed's own distOf/minMax/histogramOf over the same values in the
+//     same row order the seed appends them (or replicate the two-pass
+//     loop verbatim for string lengths). An integer column's helpers read
+//     its int64 values in place and convert each to float64 where the
+//     seed converts it into its float copy, so every float operation
+//     takes the same operands; minMax compares in int64, and the
+//     conversion is monotone, so the extremes it converts are the float
+//     copy's.
 //   - TopK: the seed fully sorts all distinct values by (count desc,
 //     value asc) and truncates to TopKSize. That ordering is a strict
 //     total order (values are distinct), so the top-K set is unique and a
@@ -51,6 +57,11 @@ import (
 //     order — integer addition is exact) and concatenates the dense
 //     vectors in chunk index order, reproducing the exact row-order
 //     sequence the seed builds.
+//   - An integer column whose values span at most denseSpanPerRow values
+//     per row is not sharded: one dense count over the whole column
+//     (denseCount) emits the ascending (value, count) stream the merge of
+//     its sorted runs would, into the same accumulators (finishCounts).
+//     The choice depends on the data alone, never on the worker count.
 //   - Every float reduction (distOf, minMax, histogramOf, the two-pass
 //     string-length loop) then runs sequentially over the merged data
 //     with the seed's own helpers, so the float operation sequence is
@@ -166,10 +177,10 @@ func concatChunks(parts [][]float64, total int) []float64 {
 // are the numeric kernels' mergeable per-chunk summary — merging is a
 // sequential multi-way merge that sums the counts of equal heads, so no
 // global hash table is ever built. Counts are order-independent, so any
-// merge order yields the same totals; the finish accumulators (distinct
-// count, count-multiplicity map, bounded top-k under a strict total
-// order) are themselves feed-order-independent, which is what makes the
-// whole pipeline bit-identical to a count map over the whole column.
+// merge order yields the same totals; the finish accumulators
+// (finishCounts) are themselves feed-order-independent, which is what
+// makes the whole pipeline bit-identical to a count map over the whole
+// column.
 type valueRuns[K cmp.Ordered] struct {
 	vals []K
 	cnts []int32
@@ -252,116 +263,111 @@ func sortedRuns[K cmp.Ordered](vals []K) valueRuns[K] {
 	return valueRuns[K]{vals: vals[:w], cnts: cnts}
 }
 
-// intRuns builds one chunk's ascending runs, choosing between two
-// strategies by the chunk's value range: when the range is small
-// relative to the chunk length (id-like, foreign-key-like and code-like
-// columns), a dense counting array replaces the sort — one sequential
-// counting pass plus one emission pass instead of an O(n log n) sort.
-// Both strategies produce identical runs, so the choice (made per chunk
-// from the data alone, never from the worker count) cannot influence
-// output.
+// finishCounts feeds an ascending (value, count) stream into the
+// accumulators a count map over the whole column would feed: the distinct
+// count, Constancy's count multiset and the bounded top-k. Each is
+// independent of the order it is fed in, so any source of the stream
+// yields the same statistics. render names a value for the top-k and runs
+// only for a value that can enter it.
 //
 //efes:hot
-func intRuns(vals []int64) valueRuns[int64] {
-	if len(vals) == 0 {
-		return valueRuns[int64]{}
-	}
-	mn, mx := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	// uint64 subtraction is exact for any int64 pair under two's
-	// complement, so the span test is overflow-safe.
-	if span := uint64(mx) - uint64(mn); span < uint64(4*len(vals)) {
-		cnt := make([]int32, span+1)
-		for _, v := range vals {
-			cnt[uint64(v)-uint64(mn)]++
-		}
-		cnts := make([]int32, 0, len(vals))
-		w := 0
-		for i, c := range cnt {
-			if c != 0 {
-				vals[w] = mn + int64(i)
-				cnts = append(cnts, c)
-				w++
-			}
-		}
-		return valueRuns[int64]{vals: vals[:w], cnts: cnts}
-	}
-	return sortedRuns(vals)
-}
-
-// finishIntRuns feeds the merged runs into the accumulators a count map
-// over the whole column would feed — bit-identical output with no global
-// hash table.
-//
-//efes:hot
-func finishIntRuns(cs *ColumnStats, runs []valueRuns[int64], nonNull int) {
-	mult := make(map[int]int)
+func finishCounts[K int64 | uint64](cs *ColumnStats, nonNull int, render func(K) string, stream func(emit func(v K, n int))) {
+	var mult multiset
 	tk := newTopK()
 	distinct := 0
-	var cur int64
-	lazy := func() string { return strconv.FormatInt(cur, 10) }
-	mergeRuns(runs, func(v int64, n int) {
+	var cur K
+	lazy := func() string { return render(cur) }
+	stream(func(v K, n int) {
 		distinct++
-		mult[n]++
+		mult.add(n, 1)
 		cur = v
 		tk.consider(n, lazy)
 	})
 	cs.Distinct = distinct
-	cs.Constancy = constancyFromMult(mult, distinct, nonNull)
+	cs.Constancy = constancyFromMult(&mult, distinct, nonNull)
 	finishTopK(cs, tk, nonNull)
 }
 
-// intKernelSharded profiles an integer column over per-chunk partials:
-// each chunk reduces its values to ascending runs (intRuns) and the run
-// merge recomputes the exact statistics; the numeric statistics then run
-// over the dense row-order vector with the seed's own helpers. With no NULLs each chunk writes its
-// span of the shared dense vector in place — disjoint [lo, hi) windows,
-// so the fan-out stays race-clean without the per-chunk copies.
+// denseSpanPerRow bounds the dense count of an integer column: a column
+// is counted densely when its non-NULL values span at most this many
+// values per non-NULL row. The dense count's one byte per value of the
+// span then never exceeds the eight bytes per row of the int64 copy the
+// sort path makes.
+const denseSpanPerRow = 8
+
+// denseCount counts ints, whose least value is lo and whose greatest is
+// lo+span, into one uint8 counter per value of the span and emits the
+// ascending (value, count) stream. A counter wraps every 256 occurrences
+// and carries them into an overflow map, so a frequent value costs one
+// map update per 256 rows.
+//
+//efes:hot
+func denseCount(ints []int64, lo int64, span uint64, emit func(v int64, n int)) {
+	counters := make([]uint8, span+1)
+	carry := make(map[uint64]int)
+	for _, v := range ints {
+		i := uint64(v) - uint64(lo)
+		counters[i]++
+		if counters[i] == 0 {
+			carry[i] += 256
+		}
+	}
+	carried := make([]uint64, 0, len(carry))
+	for i := range carry {
+		carried = append(carried, i)
+	}
+	slices.Sort(carried)
+	carried = append(carried, span+1) // sentinel: past every counter
+	next, carried := carried[0], carried[1:]
+	for i, c := range counters {
+		n := int(c)
+		if uint64(i) == next {
+			n += carry[next]
+			next, carried = carried[0], carried[1:]
+		}
+		if n > 0 {
+			emit(lo+int64(i), n)
+		}
+	}
+}
+
+// intKernelSharded profiles an integer column. The numeric statistics
+// read the non-NULL values in row order with the seed's own helpers: the
+// vector itself when it has no NULLs, else one compacted copy. The
+// distinct values and their counts come from one of two sources, chosen
+// once per column from the data alone, never from the worker count: a
+// column whose values span at most denseSpanPerRow values per row is
+// counted densely in one pass (denseCount), any other is sorted in
+// per-chunk runs fanned out over workers and merged (mergeRuns). Both
+// emit the same ascending (value, count) stream into finishCounts.
 //
 //efes:hot
 func intKernelSharded(cs *ColumnStats, ints []int64, nulls *relational.Bitmap, workers int) {
-	nonNull := cs.Rows - cs.Nulls
-	chunks := chunkCount(len(ints))
-	runs := make([]valueRuns[int64], chunks)
-	if cs.Nulls == 0 {
-		xs := make([]float64, len(ints))
-		shardRun(chunks, workers, func(k int) {
-			lo, hi := chunkSpan(k, len(ints))
-			for i := lo; i < hi; i++ {
-				xs[i] = float64(ints[i])
+	if cs.Nulls > 0 {
+		vals := make([]int64, 0, cs.Rows-cs.Nulls)
+		for i, v := range ints {
+			if !nulls.Get(i) {
+				vals = append(vals, v)
 			}
-			vals := make([]int64, hi-lo)
-			copy(vals, ints[lo:hi])
-			runs[k] = intRuns(vals)
-		})
-		finishIntRuns(cs, runs, nonNull)
-		finishNumeric(cs, xs)
+		}
+		ints = vals
+	}
+	mn, mx := finishNumeric(cs, ints)
+	render := func(v int64) string { return strconv.FormatInt(v, 10) }
+	// uint64 subtraction is exact for any int64 pair under two's
+	// complement, and the bound 8 × rows cannot overflow, so the test is
+	// overflow-safe even for a span of 2⁶⁴−1.
+	if span := uint64(mx) - uint64(mn); span < denseSpanPerRow*uint64(len(ints)) {
+		finishCounts(cs, len(ints), render, func(emit func(int64, int)) { denseCount(ints, mn, span, emit) })
 		return
 	}
-	xss := make([][]float64, chunks)
+	chunks := chunkCount(len(ints))
+	runs := make([]valueRuns[int64], chunks)
 	shardRun(chunks, workers, func(k int) {
 		lo, hi := chunkSpan(k, len(ints))
-		vals := make([]int64, 0, hi-lo)
-		xs := make([]float64, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			if nulls.Get(i) {
-				continue
-			}
-			vals = append(vals, ints[i])
-			xs = append(xs, float64(ints[i]))
-		}
-		runs[k] = intRuns(vals)
-		xss[k] = xs
+		runs[k] = sortedRuns(slices.Clone(ints[lo:hi]))
 	})
-	finishIntRuns(cs, runs, nonNull)
-	finishNumeric(cs, concatChunks(xss, nonNull))
+	finishCounts(cs, len(ints), render, func(emit func(int64, int)) { mergeRuns(runs, emit) })
 }
 
 // floatKernelSharded profiles a float column over per-chunk partials,
@@ -401,20 +407,8 @@ func floatKernelSharded(cs *ColumnStats, floats []float64, nulls *relational.Bit
 		runs[k] = sortedRuns(keys)
 		xss[k] = xs
 	})
-	mult := make(map[int]int)
-	tk := newTopK()
-	distinct := 0
-	var cur uint64
-	lazy := func() string { return strconv.FormatFloat(math.Float64frombits(cur), 'g', -1, 64) }
-	mergeRuns(runs, func(b uint64, n int) {
-		distinct++
-		mult[n]++
-		cur = b
-		tk.consider(n, lazy)
-	})
-	cs.Distinct = distinct
-	cs.Constancy = constancyFromMult(mult, distinct, nonNull)
-	finishTopK(cs, tk, nonNull)
+	render := func(b uint64) string { return strconv.FormatFloat(math.Float64frombits(b), 'g', -1, 64) }
+	finishCounts(cs, nonNull, render, func(emit func(uint64, int)) { mergeRuns(runs, emit) })
 	if xss == nil {
 		finishNumeric(cs, floats)
 	} else {
@@ -466,14 +460,14 @@ func boolKernelSharded(cs *ColumnStats, bools []bool, nulls *relational.Bitmap, 
 func timeKernel(cs *ColumnStats, vec *relational.ColumnVector) {
 	text, _ := vec.Coerced(relational.String)
 	nonNull, counts := cs.Rows-cs.Nulls, text.Counts()
-	mult := make(map[int]int)
+	var mult multiset
 	tk := newTopK()
 	for c, s := range text.Dict() {
-		mult[counts[c]]++
+		mult.add(counts[c], 1)
 		tk.considerString(counts[c], s)
 	}
 	cs.Distinct = len(counts)
-	cs.Constancy = constancyFromMult(mult, len(counts), nonNull)
+	cs.Constancy = constancyFromMult(&mult, len(counts), nonNull)
 	finishTopK(cs, tk, nonNull)
 }
 
@@ -488,7 +482,7 @@ type stringPartial struct {
 	ascii      [utf8.RuneSelf]int
 	charCounts map[rune]int
 	totalChars int
-	mult       map[int]int
+	mult       multiset
 	distinct   int
 	tk         *topK
 }
@@ -514,13 +508,12 @@ func stringKernelDictSharded(cs *ColumnStats, strs []string, occ []int, codes []
 		p := &parts[k]
 		p.patIdx = make(map[string]int)
 		p.charCounts = make(map[rune]int)
-		p.mult = make(map[int]int)
 		p.tk = newTopK()
 		var buf []byte
 		for c := lo; c < hi; c++ {
 			n := occ[c]
 			p.distinct++
-			p.mult[n]++
+			p.mult.add(n, 1)
 			p.tk.considerString(n, strs[c])
 			buf = appendPattern(buf[:0], strs[c])
 			//lint:ignore hotalloc a map index with a converted []byte key does not allocate
@@ -550,7 +543,7 @@ func stringKernelDictSharded(cs *ColumnStats, strs []string, occ []int, codes []
 	patterns := make(map[string]int)
 	var ascii [utf8.RuneSelf]int
 	charCounts := make(map[rune]int)
-	mult := make(map[int]int)
+	var mult multiset
 	totalChars, distinct := 0, 0
 	tk := newTopK()
 	for k := range parts {
@@ -566,15 +559,13 @@ func stringKernelDictSharded(cs *ColumnStats, strs []string, occ []int, codes []
 		for r, n := range p.charCounts {
 			charCounts[r] += n
 		}
-		for c, n := range p.mult {
-			mult[c] += n
-		}
+		mult.merge(&p.mult)
 		for _, vc := range p.tk.h {
 			tk.considerString(vc.Count, vc.Value)
 		}
 	}
 	cs.Distinct = distinct
-	cs.Constancy = constancyFromMult(mult, distinct, nonNull)
+	cs.Constancy = constancyFromMult(&mult, distinct, nonNull)
 	cs.Patterns = sortedCounts(patterns)
 	if totalChars > 0 {
 		// Hint the exact distinct rune count: the memo keeps every
@@ -638,10 +629,10 @@ func intStringView(table, column string, vec *relational.ColumnVector, raw *Colu
 	if nonNull == 0 {
 		return cs
 	}
-	var t decimalTally
+	t := new(decimalTally)
 	for i, x := range ints {
 		if !nulls.Get(i) {
-			t.add(x, 1)
+			t.add(x)
 		}
 	}
 	patterns := make(map[string]int, 2)
@@ -652,15 +643,16 @@ func intStringView(table, column string, vec *relational.ColumnVector, raw *Colu
 		patterns["-9"] = t.minus
 	}
 	cs.Patterns = sortedCounts(patterns)
+	digits := t.digits()
 	totalChars := t.minus
-	for _, n := range t.digits {
+	for _, n := range digits {
 		totalChars += n
 	}
-	cs.CharHist = make(map[rune]float64, len(t.digits)+1)
+	cs.CharHist = make(map[rune]float64, len(digits)+1)
 	if t.minus > 0 {
 		cs.CharHist['-'] = float64(t.minus) / float64(totalChars)
 	}
-	for d, n := range t.digits {
+	for d, n := range digits {
 		if n > 0 {
 			cs.CharHist[rune('0'+d)] = float64(n) / float64(totalChars)
 		}
@@ -678,37 +670,83 @@ func intStringView(table, column string, vec *relational.ColumnVector, raw *Colu
 	return cs
 }
 
-// decimalTally counts the characters of canonical decimal renderings:
-// one count per digit and one per minus sign.
+// decimalTally counts the characters of canonical decimal renderings by
+// groups of four digits. Cut from its last digit, a rendering's digits
+// are interior groups of exactly four, leading zeros included, and one
+// leading group of one to four digits without them. A rendering costs
+// one division per group, and digits expands each group value of the two
+// histograms into its digits once.
 type decimalTally struct {
-	digits [10]int
-	minus  int
+	interior [10000]int
+	leading  [10000]int
+	minus    int
 }
 
-// add tallies n renderings of v.
-func (t *decimalTally) add(v int64, n int) {
+// add tallies the rendering of v.
+func (t *decimalTally) add(v int64) {
 	u := uint64(v)
 	if v < 0 {
-		t.minus += n
+		t.minus++
 		u = -u // two's complement: exact for MinInt64 too
 	}
-	for {
-		t.digits[u%10] += n
-		if u < 10 {
-			return
-		}
-		u /= 10
+	for u >= 10000 {
+		t.interior[u%10000]++
+		u /= 10000
 	}
+	t.leading[u]++
 }
 
-// decimalLen is the length of strconv.FormatInt(v, 10).
+// digits returns the tallied count of each decimal digit.
+func (t *decimalTally) digits() [10]int {
+	var d [10]int
+	for g := range t.interior {
+		if n := t.interior[g]; n > 0 {
+			d[g%10] += n
+			d[g/10%10] += n
+			d[g/100%10] += n
+			d[g/1000] += n
+		}
+		if n := t.leading[g]; n > 0 {
+			for u := g; ; u /= 10 {
+				d[u%10] += n
+				if u < 10 {
+					break
+				}
+			}
+		}
+	}
+	return d
+}
+
+// pow10 holds the powers of ten a uint64 holds, 10⁰ through 10¹⁹.
+var pow10 = [20]uint64{
+	1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// decimalLen is the length of strconv.FormatInt(v, 10). Setting the low
+// bit of u changes no digit count (no power of ten above 1 is odd) and
+// makes 0 read as 1, one digit. For u of bit length L,
+// t = (L·1233)>>12 has 10^(t−1) ≤ u < 10^(t+1), so u has t digits, or
+// t+1 when u ≥ 10^t. Below 2⁵³ L is read from the exponent of u's exact
+// float64 conversion rather than from bits.Len64, whose BSR instruction
+// on amd64 would chain each row to the one before through a false
+// dependency on its output register.
 func decimalLen(v int64) int {
-	u, n := uint64(v), 1
+	u, n := uint64(v), 0
 	if v < 0 {
-		u, n = -u, 2
+		u, n = -u, 1
 	}
-	for ; u >= 10; u /= 10 {
-		n++
+	u |= 1
+	var l int
+	if u < 1<<53 {
+		l = int(math.Float64bits(float64(u))>>52) - 1022
+	} else {
+		l = bits.Len64(u)
 	}
-	return n
+	t := l * 1233 >> 12
+	if u >= pow10[t] {
+		t++
+	}
+	return n + t
 }

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -65,6 +66,65 @@ func TestShardedMultiChunk(t *testing.T) {
 				t.Errorf("%s: incompatible: want %d, got %d", cctx, wantInc, gotInc)
 			}
 			statsEqual(t, cctx, wantC, gotC)
+		}
+	}
+	// Integer columns on each side of the dense count's span limit, with
+	// NULLs and a value frequent enough to wrap its dense counter: their
+	// non-NULL values span exactly denseSpanPerRow values per non-NULL row
+	// (counted densely), or one value more (sorted in per-chunk runs and
+	// merged).
+	for _, extra := range []uint64{0, 1} {
+		s := relational.NewSchema("prop")
+		s.MustAddTable(relational.MustTable("t", relational.Column{Name: "c", Type: relational.Integer}))
+		db := relational.NewDatabase(s)
+		nonNull := 0
+		for i := 0; i < n; i++ {
+			if i%7 != 3 {
+				nonNull++
+			}
+		}
+		span := denseSpanPerRow*uint64(nonNull) - 1 + extra
+		for i, k := 0, 0; i < n; i++ {
+			if i%7 == 3 {
+				db.MustInsert("t", nil)
+				continue
+			}
+			switch {
+			case k == 0:
+				db.MustInsert("t", int64(-1000))
+			case k == 1:
+				db.MustInsert("t", int64(span)-1000)
+			case k%3 == 0:
+				db.MustInsert("t", int64(42))
+			default:
+				db.MustInsert("t", int64(-1000+rng.Int63n(int64(span)+1)))
+			}
+			k++
+		}
+		values := db.MustColumn("t", "c")
+		want := Values("t", "c", relational.Integer, values)
+		for _, workers := range shardWorkerCounts {
+			ctx := "int/span8n+" + strconv.FormatUint(extra, 10) + "/multichunk/w" + strconv.Itoa(workers)
+			statsEqual(t, ctx, want, FromVectorSharded("t", "c", db.Vector("t", "c"), workers))
+		}
+	}
+}
+
+// TestDecimalLen compares decimalLen with the length of the rendering on
+// either side of every power of ten and of two, where its bit-length
+// estimate and its float64 shortcut change, and at both ends of int64.
+func TestDecimalLen(t *testing.T) {
+	vs := []int64{0, math.MinInt64, math.MinInt64 + 1, math.MaxInt64}
+	for p := int64(1); p <= math.MaxInt64/10; p *= 10 {
+		vs = append(vs, p-1, p, p+1, -p, 10*p-1)
+	}
+	for k := 0; k < 63; k++ {
+		p := int64(1) << k
+		vs = append(vs, p-1, p, p+1, -p, -p-1)
+	}
+	for _, v := range vs {
+		if got, want := decimalLen(v), len(strconv.FormatInt(v, 10)); got != want {
+			t.Errorf("decimalLen(%d) = %d, want %d", v, got, want)
 		}
 	}
 }
@@ -135,13 +195,18 @@ func TestShardedAfterMutations(t *testing.T) {
 	}
 }
 
-// FuzzIntToStringView compares the int→string view, which intStringView
-// derives from the column's raw profile and one pass over the rows, with
-// the row path that renders every value. Besides FromVectorCoercedSharded
+// FuzzIntToStringView compares an integer column's raw profile and its
+// int→string view with the row path that renders every value. The raw
+// profile counts the column densely or by sorted runs, depending on its
+// span (intKernelSharded); the view is derived from the raw profile and
+// one pass over the rows (intStringView). Besides FromVectorCoercedSharded
 // it runs the view through the three ways a Profiler can serve it (see
 // profilerStringViews). raw decodes to zigzag varints up to the first
 // malformed one, bit i of nullMask makes row i NULL, and workers selects
-// 1 to 8 workers. The seed corpus is in testdata/fuzz/FuzzIntToStringView.
+// 1 to 8 workers. The seed corpus is in testdata/fuzz/FuzzIntToStringView;
+// its dense_* and sorted_* seeds sit on either side of the dense count's
+// span limit, count_255_256_512 crosses the dense counters' wrap, and
+// min_max_int64 spans all of int64.
 func FuzzIntToStringView(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw, nullMask []byte, workers uint8) {
 		var values []relational.Value
@@ -164,6 +229,8 @@ func FuzzIntToStringView(f *testing.F) {
 			db.MustInsert("t", v)
 		}
 		w := 1 + int(workers)%8
+		statsEqual(t, "int/w"+strconv.Itoa(w), Values("t", "c", relational.Integer, values),
+			FromVectorSharded("t", "c", db.Vector("t", "c"), w))
 		got, inc := FromVectorCoercedSharded("t", "c", db.Vector("t", "c"), relational.String, w)
 		if inc != 0 {
 			t.Errorf("incompatible = %d, want 0", inc)

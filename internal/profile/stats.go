@@ -243,24 +243,33 @@ func sortedCounts(m map[string]int) []ValueCount {
 	return out
 }
 
-func distOf(xs []float64) Dist {
+// number is a numeric column's value type. The numeric helpers below
+// read an integer column's values in place and convert each to float64
+// where the row path converts it into its float copy, so they take the
+// same float operands in the same order.
+type number interface{ int64 | float64 }
+
+func distOf[T number](xs []T) Dist {
 	if len(xs) == 0 {
 		return Dist{}
 	}
 	sum := 0.0
 	for _, x := range xs {
-		sum += x
+		sum += float64(x)
 	}
 	mean := sum / float64(len(xs))
 	ss := 0.0
 	for _, x := range xs {
-		d := x - mean
+		d := float64(x) - mean
 		ss += d * d
 	}
 	return Dist{Mean: mean, StdDev: math.Sqrt(ss / float64(len(xs)))}
 }
 
-func minMax(xs []float64) (float64, float64) {
+// minMax returns the least and greatest of xs by <, in xs' own type. The
+// conversion of int64 to float64 is monotone, so converting an integer
+// column's extremes yields the extremes of its float copy.
+func minMax[T number](xs []T) (T, T) {
 	lo, hi := xs[0], xs[0]
 	for _, x := range xs[1:] {
 		if x < lo {
@@ -273,7 +282,7 @@ func minMax(xs []float64) (float64, float64) {
 	return lo, hi
 }
 
-func histogramOf(xs []float64, lo, hi float64) Histogram {
+func histogramOf[T number](xs []T, lo, hi float64) Histogram {
 	h := Histogram{Min: lo, Max: hi, Buckets: make([]int, HistogramBuckets)}
 	width := hi - lo
 	for _, x := range xs {
@@ -284,7 +293,7 @@ func histogramOf(xs []float64, lo, hi float64) Histogram {
 			// NaN or ±Inf, and Go's float-to-int conversion of those
 			// is unspecified — an unclamped int(NaN) indexed out of
 			// bounds here.
-			f := (x - lo) / width * float64(HistogramBuckets)
+			f := (float64(x) - lo) / width * float64(HistogramBuckets)
 			switch {
 			case math.IsNaN(f) || f < 0:
 				b = 0

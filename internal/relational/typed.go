@@ -35,9 +35,19 @@ func ParseBool(s string) (bool, error) {
 var timeLayouts = []string{time.RFC3339, "2006-01-02 15:04:05", "2006-01-02"}
 
 // ParseTime parses a string as a Time value, trying the same layouts in
-// the same order as Coerce.
+// the same order as Coerce. Each failed attempt allocates its error, so
+// the one layout the trimmed field's shape admits is tried first: only
+// RFC3339 has a 'T' at byte 10, only the second layout a space there,
+// and only the third is 10 bytes long, so no layout before it can accept
+// the field. If it fails, all three run in order, so the error returned
+// is the first layout's.
 func ParseTime(s string) (time.Time, error) {
 	s = strings.TrimSpace(s)
+	if layout := timeLayoutOf(s); layout != "" {
+		if ts, err := time.Parse(layout, s); err == nil {
+			return ts, nil
+		}
+	}
 	var firstErr error
 	for _, layout := range timeLayouts {
 		ts, err := time.Parse(layout, s)
@@ -49,6 +59,20 @@ func ParseTime(s string) (time.Time, error) {
 		}
 	}
 	return time.Time{}, firstErr
+}
+
+// timeLayoutOf returns the layout of timeLayouts that s's length and
+// byte 10 admit, or "" if s has none of their shapes.
+func timeLayoutOf(s string) string {
+	switch {
+	case len(s) == 10:
+		return timeLayouts[2]
+	case len(s) == 19 && s[10] == ' ':
+		return timeLayouts[1]
+	case len(s) > 10 && s[10] == 'T':
+		return timeLayouts[0]
+	}
+	return ""
 }
 
 // FormatFloat renders a float exactly as FormatValue does.

@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -43,6 +44,64 @@ func TestTypedParsersMatchCoerce(t *testing.T) {
 	}
 }
 
+// parseTimeLayouts is ParseTime without its shape test: every layout in
+// order, the first success or the first error. It is the oracle of
+// TestParseTimeMatchesLayoutLoop.
+func parseTimeLayouts(s string) (time.Time, error) {
+	s = strings.TrimSpace(s)
+	var firstErr error
+	for _, layout := range []string{time.RFC3339, "2006-01-02 15:04:05", "2006-01-02"} {
+		ts, err := time.Parse(layout, s)
+		if err == nil {
+			return ts, nil
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return time.Time{}, firstErr
+}
+
+// TestParseTimeMatchesLayoutLoop pins ParseTime's shape test: every
+// input, accepted or not, gets the value, zone and error text of trying
+// all three layouts in order. Coerce delegates to ParseTime, so
+// TestTypedParsersMatchCoerce cannot see this.
+func TestParseTimeMatchesLayoutLoop(t *testing.T) {
+	inputs := []string{
+		"42", " 42\t", "-7", "3.5", "1e3", "-0", "NaN", "Inf",
+		"true", "True", "1", "0", "t", "f", "yes",
+		"2024-05-01T10:30:00Z", "2024-05-01 10:30:00", "2024-05-01",
+		"", "  ", "abc", "12x", "2024-13-99",
+		// Offset zones and fractional seconds.
+		"2024-05-01T10:30:00+02:00", "2024-05-01T10:30:00-07:30",
+		"2024-05-01T10:30:00.123Z", "2024-05-01 10:30:00.5",
+		// Padded and truncated spellings.
+		" 2024-05-01 ", "\t2024-05-01 10:30:00\n", " 2024-05-01T10:30:00Z ",
+		"2024-05-0", "2024-05-01 10:30", "2024-05-01 10:30:0", "2024-05-01T10:30:00", "2024-05-01T",
+		// A zone on the space layout, and other near misses.
+		"2024-05-01 10:30:00Z", "2024-05-01 10:30:00+02:00", "2024-05-01  10:30:00",
+		"2024-05-01t10:30:00Z", "2024/05/01", "2024-02-30", "2024-05-01X10:30:00",
+		"20240-05-01", "2024-5-1", "2024-05-01 25:00:00",
+	}
+	for _, s := range inputs {
+		want, wantErr := parseTimeLayouts(s)
+		got, gotErr := ParseTime(s)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Errorf("ParseTime(%q): error = %v, want %v", s, gotErr, wantErr)
+			continue
+		}
+		if wantErr != nil {
+			if gotErr.Error() != wantErr.Error() {
+				t.Errorf("ParseTime(%q): error %q, want %q", s, gotErr, wantErr)
+			}
+			continue
+		}
+		if !got.Equal(want) || got.String() != want.String() {
+			t.Errorf("ParseTime(%q) = %v, want %v", s, got, want)
+		}
+	}
+}
+
 // TestTypedFormattersMatchFormatValue pins FormatFloat and FormatTime to
 // FormatValue's renderings.
 func TestTypedFormattersMatchFormatValue(t *testing.T) {
@@ -69,6 +128,11 @@ func TestTypedParsersDoNotAllocate(t *testing.T) {
 		"ParseInt":   func() { _, _ = ParseInt(" 42 ") },
 		"ParseFloat": func() { _, _ = ParseFloat("3.5") },
 		"ParseBool":  func() { _, _ = ParseBool("true") },
+		"ParseTime":  func() { _, _ = ParseTime("2024-05-01T10:30:00Z") },
+		// The later layouts: each failed attempt at an earlier one
+		// would allocate its error.
+		"ParseTime/date":     func() { _, _ = ParseTime("2024-05-01") },
+		"ParseTime/datetime": func() { _, _ = ParseTime("2024-05-01 10:30:00") },
 	}
 	for name, fn := range checks {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
