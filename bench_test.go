@@ -10,6 +10,7 @@
 package efes_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -295,7 +296,7 @@ func BenchmarkConstraintValidation(b *testing.B) {
 // full evaluation for five framework configurations.
 func BenchmarkAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Ablation(experiments.DefaultSeed)
+		rows, err := experiments.Ablation(context.Background(), experiments.DefaultSeed, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

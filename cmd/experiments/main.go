@@ -6,7 +6,7 @@
 //	experiments -figure 6      # one figure (4-7)
 //	experiments -seed 7        # alternative random seed
 //	experiments -small         # test-sized running example (fast)
-//	experiments -workers 4     # evaluation-grid worker pool (same output)
+//	experiments -workers 4     # evaluation-grid and ablation worker pool (same output)
 //	experiments -timeout 5m    # overall deadline for the whole run
 //	experiments -module-timeout 30s -best-effort   # degrade, don't die
 //
@@ -43,7 +43,7 @@ func main() {
 	seed := flag.Int64("seed", experiments.DefaultSeed, "random seed for the synthetic datasets")
 	small := flag.Bool("small", false, "use the fast, test-sized running example")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"worker pool size for the figure 6/7 evaluation grid (output is identical for every value)")
+		"worker pool size for the figure 6/7 evaluation grid and the ablation study (output is identical for every value)")
 	timeout := flag.Duration("timeout", 0, "overall deadline for the run (0 = none)")
 	moduleTimeout := flag.Duration("module-timeout", 0, "deadline per module detector attempt (0 = none)")
 	bestEffort := flag.Bool("best-effort", false, "degrade on module failure: fall back to the counting baseline")
@@ -261,7 +261,7 @@ func table9() string {
 
 func (r *runner) printAblation() {
 	fmt.Println("===== Ablation: contribution of each estimation module =====")
-	rows, err := experiments.Ablation(r.seed)
+	rows, err := experiments.Ablation(r.ctx, r.seed, r.workers)
 	if err != nil {
 		r.fatal(err)
 	}

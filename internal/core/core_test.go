@@ -248,15 +248,18 @@ func TestAssessComplexityParallelMatchesSequential(t *testing.T) {
 }
 
 // TestAssessComplexityParallelFirstError requires the error of the
-// earliest-registered failing module, regardless of completion order.
+// earliest-registered failing module, regardless of completion order,
+// at one worker and at four.
 func TestAssessComplexityParallelFirstError(t *testing.T) {
 	scn := scenario.MusicExample(scenario.SmallExampleConfig())
-	fw := core.New(effort.NewCalculator(effort.DefaultSettings()),
-		mapping.New(), namedFailing{name: "alpha"}, namedFailing{name: "beta"}).SetWorkers(4)
-	for i := 0; i < 10; i++ { // completion order varies; result must not
-		_, err := fw.AssessComplexity(scn)
-		if err == nil || !strings.Contains(err.Error(), "alpha boom") {
-			t.Fatalf("err = %v, want the first failing module's error", err)
+	for _, workers := range []int{1, 4} {
+		fw := core.New(effort.NewCalculator(effort.DefaultSettings()),
+			mapping.New(), namedFailing{name: "alpha"}, namedFailing{name: "beta"}).SetWorkers(workers)
+		for i := 0; i < 10; i++ { // completion order varies; result must not
+			_, err := fw.AssessComplexity(scn)
+			if err == nil || err.Error() != "core: module alpha: alpha boom" {
+				t.Fatalf("%d workers: err = %v, want the first failing module's error", workers, err)
+			}
 		}
 	}
 }

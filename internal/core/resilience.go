@@ -15,10 +15,10 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"efes/internal/effort"
+	"efes/internal/fanout"
 	"efes/internal/faultinject"
 )
 
@@ -81,12 +81,26 @@ func (mf ModuleFailure) String() string {
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
-	// Stack is the goroutine stack at recovery time.
+	// Stack is the stack of the goroutine that panicked: the recovering
+	// goroutine's, or for a panic a fanout.Run worker relayed, the
+	// worker's.
 	Stack []byte
 }
 
 // Error implements error.
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
+
+// recoveredPanic converts a value recovered by the isolation layer into
+// a PanicError. A *fanout.Panic yields its value and the stack of the
+// worker that panicked; it must be called from the deferred recover, so
+// that for any other value the stack taken here holds the panicking
+// frames.
+func recoveredPanic(v any) *PanicError {
+	if p, ok := v.(*fanout.Panic); ok {
+		return &PanicError{Value: p.Value, Stack: p.Stack}
+	}
+	return &PanicError{Value: v, Stack: debug.Stack()}
+}
 
 // FallbackEstimator supplies a replacement effort contribution for a
 // failed module (the attribute-counting baseline of §6 in the standard
@@ -199,18 +213,20 @@ func (f *Framework) attemptDetector(ctx context.Context, m Module, s *Scenario) 
 	// completion. Shrinking the buffer or adding a second dynamic send
 	// would turn the abandon path into a permanent goroutine leak.
 	//
-	// The one transitive wait the analyzer flags — csg.findRoundParallel's
-	// WaitGroup.Wait — is bounded: every branch it joins is Add/defer-Done
-	// paired, runs a finite depth-limited DFS under a step budget, and
-	// polls mctx every 1024 visits, so when the select below abandons the
-	// attempt the deferred cancel unblocks the branches and the Wait (and
-	// with it this goroutine) still terminates promptly.
+	// The one transitive wait the analyzer flags — fanout.Run's
+	// WaitGroup.Wait, reached through the detectors — is bounded: every
+	// worker Run starts is Add/defer-Done paired and runs finite items
+	// (profiling chunks, value-fit pairs that check mctx before each
+	// pair, path-search branches under a step budget that poll mctx
+	// every 1024 visits), so when the select below abandons the attempt
+	// the deferred cancel cuts the work short and the Wait (and with it
+	// this goroutine) still terminates promptly.
 	ch := make(chan detectorOutcome, 1)
-	//lint:ignore goleak findRoundParallel's Wait is bounded (branches are Add/defer-Done paired, budget-limited, and poll mctx), so the detached attempt always runs to completion; the cap-1 buffered send then never blocks
+	//lint:ignore goleak fanout.Run's Wait is bounded (workers are Add/defer-Done paired and run finite items that poll mctx), so the detached attempt always runs to completion; the cap-1 buffered send then never blocks
 	go func() {
 		defer func() {
 			if v := recover(); v != nil {
-				ch <- detectorOutcome{err: &PanicError{Value: v, Stack: debug.Stack()}}
+				ch <- detectorOutcome{err: recoveredPanic(v)}
 			}
 		}()
 		if err := faultinject.Fire("core:detector:" + m.Name()); err != nil {
@@ -280,7 +296,7 @@ func (f *Framework) runDetector(ctx context.Context, m Module, s *Scenario) (Rep
 func (f *Framework) runPlanner(m Module, r Report, q effort.Quality) (tasks []effort.Task, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			tasks, err = nil, &PanicError{Value: v, Stack: debug.Stack()}
+			tasks, err = nil, recoveredPanic(v)
 		}
 	}()
 	if err := faultinject.Fire("core:planner:" + m.Name()); err != nil {
@@ -292,10 +308,14 @@ func (f *Framework) runPlanner(m Module, r Report, q effort.Quality) (tasks []ef
 // assessAligned runs every detector under the resilience policy and
 // returns reports aligned with the module list (nil entries for failed
 // modules), the failures in registration order, and — in fail-fast mode
-// or on overall cancellation — the first error in registration order.
-// A negative retry budget is an error before any detector runs: with no
-// attempt made, every module would report nothing and the estimate would
-// read as a clean zero.
+// — the first error in registration order. The detectors run through
+// fanout.Run on up to SetWorkers goroutines; in fail-fast mode no module
+// starts after a failed one. When the caller's context is done once the
+// detectors have joined, its error is returned as it is, at any worker
+// count and in either mode: degrading would silently swallow the
+// cancellation. A negative retry budget is an error before any detector
+// runs: with no attempt made, every module would report nothing and the
+// estimate would read as a clean zero.
 func (f *Framework) assessAligned(ctx context.Context, s *Scenario) ([]Report, []ModuleFailure, error) {
 	if f.res.Retries < 0 {
 		return nil, nil, fmt.Errorf("core: retries %d is negative", f.res.Retries)
@@ -306,43 +326,30 @@ func (f *Framework) assessAligned(ctx context.Context, s *Scenario) ([]Report, [
 	reports := make([]Report, len(f.modules))
 	attempts := make([]int, len(f.modules))
 	errs := make([]error, len(f.modules))
-	if f.workers <= 1 || len(f.modules) <= 1 {
-		for i, m := range f.modules {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			reports[i], attempts[i], errs[i] = f.runDetector(ctx, m, s)
-			if errs[i] != nil && !f.res.BestEffort {
-				return nil, nil, fmt.Errorf("core: module %s: %w", m.Name(), errs[i])
-			}
+	err := fanout.Run(len(f.modules), f.workers, func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-	} else {
-		sem := make(chan struct{}, f.workers)
-		var wg sync.WaitGroup
-		for i, m := range f.modules {
-			wg.Add(1)
-			go func(i int, m Module) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				reports[i], attempts[i], errs[i] = f.runDetector(ctx, m, s)
-			}(i, m)
+		m := f.modules[i]
+		reports[i], attempts[i], errs[i] = f.runDetector(ctx, m, s)
+		if errs[i] != nil && !f.res.BestEffort {
+			return fmt.Errorf("core: module %s: %w", m.Name(), errs[i])
 		}
-		wg.Wait()
+		return nil
+	})
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return nil, nil, ctxErr
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	var failures []ModuleFailure
-	for i, err := range errs { // registration order
-		if err == nil {
-			continue
+	for i, err := range errs { // registration order; only best-effort gets here with errors
+		if err != nil {
+			failures = append(failures, ModuleFailure{
+				Module: f.modules[i].Name(), Stage: "assess", Err: err, Attempts: attempts[i],
+			})
 		}
-		if !f.res.BestEffort || ctx.Err() != nil {
-			// Fail fast, or the whole run was cancelled: degrading
-			// would silently swallow the caller's cancellation.
-			return nil, nil, fmt.Errorf("core: module %s: %w", f.modules[i].Name(), err)
-		}
-		failures = append(failures, ModuleFailure{
-			Module: f.modules[i].Name(), Stage: "assess", Err: err, Attempts: attempts[i],
-		})
 	}
 	return reports, failures, nil
 }

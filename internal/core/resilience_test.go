@@ -241,6 +241,31 @@ func TestResilienceBestEffortStillHonorsCancellation(t *testing.T) {
 	}
 }
 
+// TestResilienceCancelledSameErrorAtAnyWorkers estimates with a context
+// cancelled before the start, fail-fast and best-effort, at one and at
+// four workers between the modules: every run returns the caller's
+// cancellation as it is, with the same text.
+func TestResilienceCancelledSameErrorAtAnyWorkers(t *testing.T) {
+	scn := scenario.MusicExample(scenario.SmallExampleConfig())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var first error
+	for _, bestEffort := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			fw := resilientFramework(core.Resilience{BestEffort: bestEffort}).SetWorkers(workers)
+			_, err := fw.EstimateContext(ctx, scn, effort.HighQuality)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("best effort %v, %d workers: err = %v, want context.Canceled", bestEffort, workers, err)
+			}
+			if first == nil {
+				first = err
+			} else if err.Error() != first.Error() {
+				t.Errorf("best effort %v, %d workers: err = %q, want %q as at one worker, fail-fast", bestEffort, workers, err, first)
+			}
+		}
+	}
+}
+
 func TestResilienceDegradedProblemCount(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.Reset()

@@ -3,7 +3,8 @@ package csg
 import (
 	"context"
 	"sort"
-	"sync"
+
+	"efes/internal/fanout"
 )
 
 // MaxPathLength bounds the path enumeration of the matcher. Real target
@@ -116,7 +117,9 @@ func findRoundSequential(ctx context.Context, g *Graph, from, to *Node, limit, p
 }
 
 // findRoundParallel runs one deepening round with one traversal per start
-// edge, each in its own goroutine with fully private state. The merged
+// edge, each with fully private state, on one fanout.Run worker per
+// edge: path search sizes its pool by the graph, not by a worker count.
+// The merged
 // result is accepted only when no limit would have bound sequentially —
 // the root visit plus all branch visits fit the round's step budget and
 // prior plus all branch paths fit MaxPaths. Then every branch ran to
@@ -128,23 +131,20 @@ func findRoundSequential(ctx context.Context, g *Graph, from, to *Node, limit, p
 func findRoundParallel(ctx context.Context, g *Graph, from, to *Node, limit, prior int) (paths []Path, ok bool, err error) {
 	edges := g.OutEdges(from)
 	branches := make([]*pathSearch, len(edges))
-	var wg sync.WaitGroup
-	for i, e := range edges {
+	// A branch cannot fail: a cancelled one says so in its state.
+	_ = fanout.Run(len(edges), len(edges), func(i int) error {
+		e := edges[i]
 		if e.To == from {
-			continue // the sequential root loop skips self-loops the same way
+			return nil // the sequential root loop skips self-loops the same way
 		}
 		s := &pathSearch{ctx: ctx, g: g, to: to, limit: limit,
 			maxPaths: MaxPaths - prior,
 			visited:  map[*Node]bool{from: true, e.To: true},
 			current:  Path{e}}
 		branches[i] = s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.dfs(e.To)
-		}()
-	}
-	wg.Wait()
+		s.dfs(e.To)
+		return nil
+	})
 	totalSteps := 1 // the root visit of the sequential traversal
 	found := 0
 	for _, b := range branches {
@@ -178,7 +178,7 @@ func findRoundParallel(ctx context.Context, g *Graph, from, to *Node, limit, pri
 // detector's long pole under a module deadline).
 //
 // Each deepening round fans out across the start node's edges, one
-// goroutine per branch; when a round's step budget or the MaxPaths cap
+// worker per branch; when a round's step budget or the MaxPaths cap
 // binds, the round is rerun sequentially, so results — including truncated
 // ones — are bit-identical to the single-threaded search.
 func FindPathsContext(ctx context.Context, g *Graph, from, to *Node, maxLen int) ([]Path, error) {

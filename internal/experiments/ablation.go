@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -25,85 +26,41 @@ type AblationRow struct {
 	BibliographicRMSE, MusicRMSE float64
 }
 
-// frameworkFactory builds a fresh framework per run (modules carry no
-// state, but fresh instances keep runs independent).
-type frameworkFactory func() *core.Framework
-
+// standardFactory builds the paper's three-module framework.
 func standardFactory() *core.Framework {
 	return core.New(effort.NewCalculator(effort.DefaultSettings()),
 		mapping.New(), structure.New(), valuefit.New())
 }
 
-func ablationConfigs() []struct {
-	name    string
-	factory frameworkFactory
-} {
-	calcWithDedup := func() *effort.Calculator {
-		c := effort.NewCalculator(effort.DefaultSettings())
-		c.SetFunction(dedup.TaskResolveDuplicates, dedup.DefaultFunction)
-		return c
-	}
-	return []struct {
-		name    string
-		factory frameworkFactory
-	}{
-		{"mapping only", func() *core.Framework {
-			return core.New(effort.NewCalculator(effort.DefaultSettings()), mapping.New())
-		}},
-		{"mapping + structure", func() *core.Framework {
-			return core.New(effort.NewCalculator(effort.DefaultSettings()), mapping.New(), structure.New())
-		}},
-		{"mapping + values", func() *core.Framework {
-			return core.New(effort.NewCalculator(effort.DefaultSettings()), mapping.New(), valuefit.New())
-		}},
-		{"standard (paper)", standardFactory},
-		{"standard + duplicates", func() *core.Framework {
-			return core.New(calcWithDedup(), mapping.New(), structure.New(), valuefit.New(), dedup.New())
-		}},
-	}
+// ablationConfig is one framework configuration of the ablation study.
+type ablationConfig struct {
+	name string
+	fw   *core.Framework
 }
 
-// runDomainWith executes a domain with a specific framework configuration
-// (the practitioner ground truth is configuration-independent).
-func runDomainWith(d Domain, seed int64, factory frameworkFactory) (*rawRun, error) {
-	fw := factory()
-	pract := NewPractitioner(seed)
-	run := &rawRun{}
-	for _, spec := range d.Scenarios {
-		scn := spec.Build(seed)
-		for _, q := range []effort.Quality{effort.LowEffort, effort.HighQuality} {
-			res, err := fw.Estimate(scn, q)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s (%s): %w", spec.Name, q, err)
-			}
-			measured, measuredBy, err := pract.Measure(scn, q)
-			if err != nil {
-				return nil, err
-			}
-			run.rows = append(run.rows, Measurement{
-				Scenario: spec.Name, Quality: q,
-				Efes: res.Estimate.Total(), Measured: measured,
-				EfesBreakdown:     res.Estimate.ByCategory(),
-				MeasuredBreakdown: measuredBy,
-			})
-		}
+func ablationConfigs() []ablationConfig {
+	calcWithDedup := effort.NewCalculator(effort.DefaultSettings())
+	calcWithDedup.SetFunction(dedup.TaskResolveDuplicates, dedup.DefaultFunction)
+	return []ablationConfig{
+		{"mapping only", core.New(effort.NewCalculator(effort.DefaultSettings()), mapping.New())},
+		{"mapping + structure", core.New(effort.NewCalculator(effort.DefaultSettings()), mapping.New(), structure.New())},
+		{"mapping + values", core.New(effort.NewCalculator(effort.DefaultSettings()), mapping.New(), valuefit.New())},
+		{"standard (paper)", standardFactory()},
+		{"standard + duplicates", core.New(calcWithDedup, mapping.New(), structure.New(), valuefit.New(), dedup.New())},
 	}
-	return run, nil
 }
 
 // Ablation evaluates the contribution of each estimation module: it
 // re-runs the full cross-validated evaluation with modules removed (and
 // once with the optional duplicate-resolution module added) and reports
 // the resulting errors. The DESIGN.md ablation: which module pays for its
-// complexity?
-func Ablation(seed int64) ([]AblationRow, error) {
+// complexity? Each configuration runs the evaluation grid of RunResilient
+// on up to workers goroutines, with the same output at any worker count,
+// and a cancelled context stops the study and returns its error.
+func Ablation(ctx context.Context, seed int64, workers int) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, cfg := range ablationConfigs() {
-		bibRaw, err := runDomainWith(BibliographicDomain(), seed, cfg.factory)
-		if err != nil {
-			return nil, fmt.Errorf("ablation %q: %w", cfg.name, err)
-		}
-		musicRaw, err := runDomainWith(MusicDomain(), seed, cfg.factory)
+		bibRaw, musicRaw, err := runGrid(ctx, cfg.fw, seed, workers)
 		if err != nil {
 			return nil, fmt.Errorf("ablation %q: %w", cfg.name, err)
 		}
@@ -116,9 +73,8 @@ func Ablation(seed int64) ([]AblationRow, error) {
 				efes = append(efes, r.Efes)
 			}
 		}
-		names := moduleNames(cfg.factory())
 		rows = append(rows, AblationRow{
-			Name: cfg.name, Modules: names,
+			Name: cfg.name, Modules: moduleNames(cfg.fw),
 			OverallRMSE:       RMSE(measured, efes),
 			BibliographicRMSE: bib.EfesRMSE,
 			MusicRMSE:         music.EfesRMSE,

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -311,12 +313,19 @@ func TestAblationModuleContributions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full ablation in -short mode")
 	}
-	rows, err := Ablation(DefaultSeed)
+	rows, err := Ablation(context.Background(), DefaultSeed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 5 {
 		t.Fatalf("ablation rows = %d", len(rows))
+	}
+	par, err := Ablation(context.Background(), DefaultSeed, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(par, rows) {
+		t.Errorf("ablation rows differ between 4 workers and 1:\n%s\nvs\n%s", RenderAblation(par), RenderAblation(rows))
 	}
 	byName := make(map[string]AblationRow)
 	for _, r := range rows {

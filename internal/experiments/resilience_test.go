@@ -95,3 +95,36 @@ func TestResilienceTimingFaultKeepsGridByteIdentical(t *testing.T) {
 		t.Errorf("figure 6 rendering differs")
 	}
 }
+
+// TestResilienceAblationHonoursCancellation runs the ablation study with
+// a cancelled context, which must evaluate no cell, and with one
+// cancelled while its first configuration runs: each of its 80 cells
+// takes 100ms on one worker, so only a study that stops at the
+// cancellation returns before evaluating them all.
+func TestResilienceAblationHonoursCancellation(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Reset()
+	faultinject.Enable("experiments:cell", faultinject.Fault{Kind: faultinject.Delay, Delay: 100 * time.Millisecond})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Ablation(ctx, DefaultSeed, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled before the start: err = %v, want context.Canceled", err)
+	}
+	if n := faultinject.Fired("experiments:cell"); n != 0 {
+		t.Fatalf("cancelled before the start: %d cells evaluated, want 0", n)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		time.Sleep(150 * time.Millisecond)
+		cancel()
+	}()
+	if _, err := Ablation(ctx, DefaultSeed, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled mid-run: err = %v, want context.Canceled", err)
+	}
+	if n, all := faultinject.Fired("experiments:cell"), 5*2*len(BibliographicDomain().Scenarios)*len(gridQualities); n >= all {
+		t.Errorf("cancelled mid-run: %d of %d cells evaluated", n, all)
+	}
+}

@@ -4,13 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"efes/internal/baseline"
 	"efes/internal/core"
 	"efes/internal/effort"
+	"efes/internal/fanout"
 	"efes/internal/faultinject"
 	"efes/internal/mapping"
 	"efes/internal/scenario"
@@ -180,83 +181,46 @@ func gridFramework(res core.Resilience) *core.Framework {
 	return fw
 }
 
-// runDomain executes all scenarios of a domain at both quality levels,
-// sequentially.
-func runDomain(ctx context.Context, d Domain, seed int64, res core.Resilience) (*rawRun, error) {
-	fw := gridFramework(res)
+// runGrid evaluates the Figure 6/7 grid with fw: one item per scenario
+// pair of the bibliographic and then the music domain, run through
+// fanout.Run on up to workers goroutines. Each item builds its scenario
+// once and evaluates it at both qualities, writing its rows at its grid
+// index (scenario-major, quality order as in the figures), so the rows
+// are those of a sequential run at any worker count. A cancelled grid
+// starts no further cell; otherwise the first error in grid order is
+// returned. fw, the practitioner and the counting baseline are shared
+// by every item: their run paths are read-only.
+func runGrid(ctx context.Context, fw *core.Framework, seed int64, workers int) (bib, music *rawRun, err error) {
+	bibSpecs := BibliographicDomain().Scenarios
+	specs := slices.Concat(bibSpecs, MusicDomain().Scenarios)
 	pract := NewPractitioner(seed)
 	counting := baseline.New()
-	run := &rawRun{}
-	for _, spec := range d.Scenarios {
+	rows := make([]Measurement, len(specs)*len(gridQualities))
+	err = fanout.Run(len(specs), workers, func(i int) error {
+		// Building a scenario alone is expensive, so a cancelled grid
+		// checks before it too.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		spec := specs[i]
 		scn := spec.Build(seed)
-		for _, q := range gridQualities {
+		for j, q := range gridQualities {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			m, err := evalCell(ctx, fw, pract, counting, scn, spec.Name, q)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			run.rows = append(run.rows, m)
+			rows[i*len(gridQualities)+j] = m
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return run, nil
-}
-
-// runDomainParallel evaluates the domain's scenario×quality grid with a
-// bounded pool of workers. The result is byte-identical to runDomain:
-// each cell builds its own scenario instance from the same deterministic
-// seed, every measurement derives its randomness from the practitioner's
-// per-cell RNG, results are placed by grid index (scenario-major, quality
-// order as in the figures), and on failure the first error in grid order
-// is returned. One framework, practitioner, and baseline are shared by
-// all workers — their run paths are read-only.
-func runDomainParallel(ctx context.Context, d Domain, seed int64, workers int, res core.Resilience) (*rawRun, error) {
-	if workers <= 1 {
-		return runDomain(ctx, d, seed, res)
-	}
-	type cell struct {
-		spec ScenarioSpec
-		q    effort.Quality
-	}
-	var cells []cell
-	for _, spec := range d.Scenarios {
-		for _, q := range gridQualities {
-			cells = append(cells, cell{spec: spec, q: q})
-		}
-	}
-	fw := gridFramework(res)
-	pract := NewPractitioner(seed)
-	counting := baseline.New()
-	rows := make([]Measurement, len(cells))
-	errs := make([]error, len(cells))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, c := range cells {
-		wg.Add(1)
-		go func(i int, c cell) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// A cancelled grid stops promptly: cells that have not
-			// started yet are skipped (building a scenario alone is
-			// expensive), and running cells stop at their framework's
-			// next cancellation check.
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			scn := c.spec.Build(seed)
-			rows[i], errs[i] = evalCell(ctx, fw, pract, counting, scn, c.spec.Name, c.q)
-		}(i, c)
-	}
-	wg.Wait()
-	for _, err := range errs { // first error in grid order
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &rawRun{rows: rows}, nil
+	split := len(bibSpecs) * len(gridQualities)
+	return &rawRun{rows: rows[:split]}, &rawRun{rows: rows[split:]}, nil
 }
 
 // calibrate scales the Efes and Counting values of test rows by factors
@@ -306,9 +270,9 @@ func Run(seed int64) (*Experiment, error) {
 	return RunParallel(seed, 1)
 }
 
-// RunParallel is Run with a bounded worker pool per domain (the two
-// domains also run concurrently when workers > 1). Output is guaranteed
-// byte-identical to Run for every worker count — see runDomainParallel.
+// RunParallel is Run with the evaluation grid on up to workers
+// goroutines. Output is guaranteed byte-identical to Run for every
+// worker count — see runGrid.
 func RunParallel(seed int64, workers int) (*Experiment, error) {
 	return RunParallelContext(context.Background(), seed, workers)
 }
@@ -329,32 +293,9 @@ func RunParallelContext(ctx context.Context, seed int64, workers int) (*Experime
 // For a fixed policy outcome the output remains deterministic across
 // worker counts.
 func RunResilient(ctx context.Context, seed int64, workers int, res core.Resilience) (*Experiment, error) {
-	var bibRaw, musicRaw *rawRun
-	var bibErr, musicErr error
-	if workers > 1 {
-		// The single Add(2) before both launches is the join proof the
-		// goleak rule checks for: each goroutine's deferred Done pairs
-		// with it, and wg.Wait below observes both exits.
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			bibRaw, bibErr = runDomainParallel(ctx, BibliographicDomain(), seed, workers, res)
-		}()
-		go func() {
-			defer wg.Done()
-			musicRaw, musicErr = runDomainParallel(ctx, MusicDomain(), seed, workers, res)
-		}()
-		wg.Wait()
-	} else {
-		bibRaw, bibErr = runDomain(ctx, BibliographicDomain(), seed, res)
-		musicRaw, musicErr = runDomain(ctx, MusicDomain(), seed, res)
-	}
-	if bibErr != nil {
-		return nil, bibErr
-	}
-	if musicErr != nil {
-		return nil, musicErr
+	bibRaw, musicRaw, err := runGrid(ctx, gridFramework(res), seed, workers)
+	if err != nil {
+		return nil, err
 	}
 	exp := &Experiment{}
 	exp.Bibliographic = calibrate(musicRaw, bibRaw) // trained on music

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"efes/internal/fanout"
 	"efes/internal/faultinject"
 	"efes/internal/relational"
 )
@@ -54,12 +55,12 @@ type profileEntry struct {
 	ok           bool // false: the computation failed and the entry was dropped
 }
 
-// Profiler memoizes column profiles and fans whole-table and
-// whole-database profiling out over a bounded worker pool. It is safe for
-// concurrent use by multiple goroutines; a single Profiler can be shared
-// across estimation modules, frameworks, and experiment workers so that
-// every (database, table, column, type) combination is profiled exactly
-// once per process, however many correspondences refer to it.
+// Profiler memoizes column profiles and fans whole-database profiling
+// out over a bounded worker pool. It is safe for concurrent use by
+// multiple goroutines; a single Profiler can be shared across estimation
+// modules, frameworks, and experiment workers so that every (database,
+// table, column, type) combination is profiled exactly once per process,
+// however many correspondences refer to it.
 //
 // Entries key the database by pointer identity and therefore keep the
 // instance alive; call Forget when a database is dropped, or Reset to
@@ -155,8 +156,8 @@ func (p *Profiler) loadStored(key profileKey, dkey string) (*ColumnStats, int, b
 	return env.Stats, env.Incompatible, true
 }
 
-// NewProfiler creates a Profiler whose bulk operations (ProfileTable,
-// ProfileDatabase) use at most workers concurrent goroutines; workers <= 0
+// NewProfiler creates a Profiler whose profiling kernels and
+// ProfileDatabase use at most workers concurrent goroutines; workers <= 0
 // selects GOMAXPROCS.
 func NewProfiler(workers int) *Profiler {
 	if workers <= 0 {
@@ -165,7 +166,7 @@ func NewProfiler(workers int) *Profiler {
 	return &Profiler{workers: workers, entries: make(map[profileKey]*profileEntry)}
 }
 
-// Workers returns the concurrency bound of the bulk operations.
+// Workers returns the concurrency bound of the profiler's fan-outs.
 func (p *Profiler) Workers() int { return p.workers }
 
 // get returns the cached entry for key, computing it via compute exactly
@@ -345,45 +346,6 @@ func (p *Profiler) ColumnCoercedContext(ctx context.Context, db *relational.Data
 	})
 }
 
-// ProfileTable profiles every column of a table, fanning the columns out
-// over the worker pool, and returns the profiles in schema column order.
-func (p *Profiler) ProfileTable(db *relational.Database, table string) ([]*ColumnStats, error) {
-	return p.ProfileTableContext(context.Background(), db, table)
-}
-
-// ProfileTableContext is ProfileTable with cancellation: workers stop
-// picking up columns once the context is done and the context's error is
-// returned.
-func (p *Profiler) ProfileTableContext(ctx context.Context, db *relational.Database, table string) ([]*ColumnStats, error) {
-	t := db.Schema.Table(table)
-	if t == nil {
-		return nil, fmt.Errorf("profile: unknown table %s", table)
-	}
-	out := make([]*ColumnStats, len(t.Columns))
-	errs := make([]error, len(t.Columns))
-	sem := make(chan struct{}, p.workers)
-	var wg sync.WaitGroup
-	for i, col := range t.Columns {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i], errs[i] = p.ColumnContext(ctx, db, table, name)
-		}(i, col.Name)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // ProfileDatabase profiles every column of every table, bounded by the
 // worker pool, and returns the profiles in schema order (tables in schema
 // order, columns in declaration order).
@@ -391,38 +353,28 @@ func (p *Profiler) ProfileDatabase(db *relational.Database) ([]*ColumnStats, err
 	return p.ProfileDatabaseContext(context.Background(), db)
 }
 
-// ProfileDatabaseContext is ProfileDatabase with cancellation.
+// ProfileDatabaseContext is ProfileDatabase with cancellation: once the
+// context is done, no further column is profiled and the context's
+// error is returned. The columns run through fanout.Run on up to
+// Workers() goroutines, so otherwise the first failing column's error
+// in schema order is returned.
 func (p *Profiler) ProfileDatabaseContext(ctx context.Context, db *relational.Database) ([]*ColumnStats, error) {
-	type slot struct {
-		table, column string
-	}
-	var slots []slot
+	var cols []relational.ColumnRef
 	for _, t := range db.Schema.Tables() {
 		for _, c := range t.Columns {
-			slots = append(slots, slot{table: t.Name, column: c.Name})
+			cols = append(cols, relational.ColumnRef{Table: t.Name, Column: c.Name})
 		}
 	}
-	out := make([]*ColumnStats, len(slots))
-	errs := make([]error, len(slots))
-	sem := make(chan struct{}, p.workers)
-	var wg sync.WaitGroup
-	for i, s := range slots {
-		wg.Add(1)
-		go func(i int, s slot) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i], errs[i] = p.ColumnContext(ctx, db, s.table, s.column)
-		}(i, s)
+	out := make([]*ColumnStats, len(cols))
+	err := fanout.Run(len(cols), p.workers, func(i int) (err error) {
+		out[i], err = p.ColumnContext(ctx, db, cols[i].Table, cols[i].Column)
+		return err
+	})
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		err = ctxErr
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

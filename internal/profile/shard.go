@@ -6,10 +6,9 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"unicode/utf8"
 
+	"efes/internal/fanout"
 	"efes/internal/relational"
 )
 
@@ -74,9 +73,11 @@ import (
 // processed once — pattern, rune count, character tallies — weighted by
 // its dictionary count, instead of once per row.
 //
-// Workers race only on disjoint per-chunk slots (one slot per chunk,
-// preallocated before the fan-out), so the kernels are race-clean without
-// locks; shardRun hands out chunk indexes via an atomic counter.
+// The chunks run through fanout.Run, on up to workers goroutines or
+// inline on the caller's at one worker or one chunk. Each chunk writes
+// only its own slot, preallocated before the fan-out, so the kernels
+// are race-clean without locks. A chunk body cannot fail, so the
+// kernels drop Run's error, which is always nil.
 
 // chunkCount returns the number of relational.ChunkSize spans covering n
 // elements.
@@ -92,38 +93,6 @@ func chunkSpan(k, n int) (lo, hi int) {
 		hi = n
 	}
 	return lo, hi
-}
-
-// shardRun invokes fn(k) for every chunk index in [0, chunks), fanning
-// out over up to workers goroutines. fn must write only to its own
-// chunk's slot. With one worker (or one chunk) everything runs inline on
-// the calling goroutine.
-func shardRun(chunks, workers int, fn func(k int)) {
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		for k := 0; k < chunks; k++ {
-			fn(k)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(atomic.AddInt64(&next, 1)) - 1
-				if k >= chunks {
-					return
-				}
-				fn(k)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // FromVectorSharded profiles a column from its columnar representation
@@ -363,9 +332,10 @@ func intKernelSharded(cs *ColumnStats, ints []int64, nulls *relational.Bitmap, w
 	}
 	chunks := chunkCount(len(ints))
 	runs := make([]valueRuns[int64], chunks)
-	shardRun(chunks, workers, func(k int) {
+	_ = fanout.Run(chunks, workers, func(k int) error {
 		lo, hi := chunkSpan(k, len(ints))
 		runs[k] = sortedRuns(slices.Clone(ints[lo:hi]))
+		return nil
 	})
 	finishCounts(cs, len(ints), render, func(emit func(int64, int)) { mergeRuns(runs, emit) })
 }
@@ -384,7 +354,7 @@ func floatKernelSharded(cs *ColumnStats, floats []float64, nulls *relational.Bit
 	if cs.Nulls > 0 {
 		xss = make([][]float64, chunks)
 	}
-	shardRun(chunks, workers, func(k int) {
+	_ = fanout.Run(chunks, workers, func(k int) error {
 		lo, hi := chunkSpan(k, len(floats))
 		keys := make([]uint64, 0, hi-lo)
 		if xss == nil {
@@ -394,7 +364,7 @@ func floatKernelSharded(cs *ColumnStats, floats []float64, nulls *relational.Bit
 				keys = append(keys, relational.FloatKey(floats[i]))
 			}
 			runs[k] = sortedRuns(keys)
-			return
+			return nil
 		}
 		xs := make([]float64, 0, hi-lo)
 		for i := lo; i < hi; i++ {
@@ -406,6 +376,7 @@ func floatKernelSharded(cs *ColumnStats, floats []float64, nulls *relational.Bit
 		}
 		runs[k] = sortedRuns(keys)
 		xss[k] = xs
+		return nil
 	})
 	render := func(b uint64) string { return strconv.FormatFloat(math.Float64frombits(b), 'g', -1, 64) }
 	finishCounts(cs, nonNull, render, func(emit func(uint64, int)) { mergeRuns(runs, emit) })
@@ -425,7 +396,7 @@ func boolKernelSharded(cs *ColumnStats, bools []bool, nulls *relational.Bitmap, 
 	trues := make([]int, chunks)
 	falses := make([]int, chunks)
 	xss := make([][]float64, chunks)
-	shardRun(chunks, workers, func(k int) {
+	_ = fanout.Run(chunks, workers, func(k int) error {
 		lo, hi := chunkSpan(k, len(bools))
 		xs := make([]float64, 0, hi-lo)
 		for i := lo; i < hi; i++ {
@@ -441,6 +412,7 @@ func boolKernelSharded(cs *ColumnStats, bools []bool, nulls *relational.Bitmap, 
 			}
 		}
 		xss[k] = xs
+		return nil
 	})
 	nTrue, nFalse := 0, 0
 	for k := 0; k < chunks; k++ {
@@ -503,7 +475,7 @@ func stringKernelDictSharded(cs *ColumnStats, strs []string, occ []int, codes []
 	chunks := chunkCount(len(strs))
 	runeLens := make([]float64, len(strs))
 	parts := make([]stringPartial, chunks)
-	shardRun(chunks, workers, func(k int) {
+	_ = fanout.Run(chunks, workers, func(k int) error {
 		lo, hi := chunkSpan(k, len(strs))
 		p := &parts[k]
 		p.patIdx = make(map[string]int)
@@ -539,6 +511,7 @@ func stringKernelDictSharded(cs *ColumnStats, strs []string, occ []int, codes []
 			p.totalChars += n * rl
 			runeLens[c] = float64(rl)
 		}
+		return nil
 	})
 	patterns := make(map[string]int)
 	var ascii [utf8.RuneSelf]int

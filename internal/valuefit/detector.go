@@ -12,9 +12,9 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"efes/internal/core"
+	"efes/internal/fanout"
 	"efes/internal/profile"
 	"efes/internal/relational"
 )
@@ -153,12 +153,12 @@ func (m *Module) AssessComplexity(s *core.Scenario) (core.Report, error) {
 }
 
 // AssessComplexityContext implements core.ContextModule. The
-// corresponding attribute pairs run on up to Profiler.Workers()
-// goroutines (runPairs), and the report lists them in pair order whatever
-// order they finish in. ctx is checked before each pair starts and
-// propagated into the profiler, so an expired deadline interrupts even a
-// long profiling run promptly (and a profile computation already in
-// flight on the shared cache is simply abandoned by this caller, not
+// corresponding attribute pairs run through fanout.Run on up to
+// Profiler.Workers() goroutines, and the report lists them in pair order
+// whatever order they finish in. ctx is checked before each pair starts
+// and propagated into the profiler, so an expired deadline interrupts
+// even a long profiling run promptly (and a profile computation already
+// in flight on the shared cache is simply abandoned by this caller, not
 // poisoned for others). A failure returns the error of the first failing
 // pair in pair order, and a panic in a pair is raised again on the
 // calling goroutine.
@@ -186,7 +186,10 @@ func (m *Module) AssessComplexityContext(ctx context.Context, s *core.Scenario) 
 		}
 	}
 	found := make([]*Heterogeneity, len(pairs))
-	err := runPairs(ctx, len(pairs), prof.Workers(), func(i int) (err error) {
+	err := fanout.Run(len(pairs), prof.Workers(), func(i int) (err error) {
+		if err = ctx.Err(); err != nil {
+			return err
+		}
 		p := pairs[i]
 		found[i], err = m.checkPair(ctx, prof, p.src, s.Target, p.st, p.sc, p.tt, p.tc)
 		return err
@@ -208,83 +211,6 @@ func (m *Module) AssessComplexityContext(ctx context.Context, s *core.Scenario) 
 		return a.Pair() < b.Pair()
 	})
 	return report, nil
-}
-
-// runPairs runs check(i) for every pair index i in [0, n) and returns
-// what a sequential loop over the pairs would: the error of the first
-// failing pair, or that pair's panic, raised again on the calling
-// goroutine. With workers > 1 the pairs run on up to workers goroutines,
-// which take the indexes in ascending order. ctx is checked before each
-// pair starts, and a pair after a failed one does not start. A pair
-// before it always runs, so once the started pairs have finished, the
-// first failure in pair order is known; a later pair that ran anyway is
-// ignored. Each pair writes only to its own slot.
-func runPairs(ctx context.Context, n, workers int, check func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := check(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	type outcome struct {
-		err      error
-		panicked any // the value the pair panicked with, if it did
-	}
-	outcomes := make([]outcome, n)
-	run := func(i int) (ok bool) {
-		o := &outcomes[i]
-		defer func() { o.panicked = recover() }()
-		if o.err = ctx.Err(); o.err == nil {
-			o.err = check(i)
-		}
-		return o.err == nil
-	}
-	var mu sync.Mutex
-	next, failed := 0, n // the next pair to start; the least failed pair, or n
-	take := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= failed {
-			return 0, false
-		}
-		next++
-		return next - 1, true
-	}
-	fail := func(i int) {
-		mu.Lock()
-		defer mu.Unlock()
-		failed = min(failed, i)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i, ok := take(); ok; i, ok = take() {
-				if !run(i) {
-					fail(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, o := range outcomes {
-		if o.panicked != nil {
-			panic(o.panicked)
-		}
-		if o.err != nil {
-			return o.err
-		}
-	}
-	return nil
 }
 
 // checkPair runs Algorithm 1 on one corresponding attribute pair. All
