@@ -86,7 +86,12 @@ bench:
 # pays: ScenarioHash over the paper-scale running example, loaded
 # through LoadDir, ran 42–76 ms on the same VM once WriteCSV rendered
 # from the column vectors, against 75–148 ms through encoding/csv.
-# 220 ms keeps ~3.5x headroom, as the other ceilings do.
+# 220 ms keeps ~3.5x headroom, as the other ceilings do. The sixth gates
+# the schema matcher that efesd's /v1/match, discover uploads and
+# `efes -discover` run: MatcherLargeCold, a first Match of fresh copies
+# of the large example, ran 15–19 ms on the same VM once each column was
+# sampled from its text view's dictionary through a bounded heap, with
+# nothing memoized on the vectors. 60 ms keeps ~3.5x headroom.
 bench-smoke:
 	go test -short -run '^$$' -bench . -benchtime 1x .
 	go run ./cmd/benchjson -bench '^BenchmarkFullEstimateLarge$$' -benchtime 3x \
@@ -97,3 +102,5 @@ bench-smoke:
 		-out '' -assert BenchmarkLoadDirLarge=80ms
 	go run ./cmd/benchjson -bench '^BenchmarkScenarioHash$$' -benchtime 3x \
 		-out '' -assert BenchmarkScenarioHash=220ms
+	go run ./cmd/benchjson -bench '^BenchmarkMatcherLargeCold$$' -benchtime 3x \
+		-out '' -assert BenchmarkMatcherLargeCold=60ms

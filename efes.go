@@ -202,7 +202,7 @@ func AddSource(s *Scenario, name string, db *Database, corrs *Correspondences) {
 // its Attr and Table methods, or discover correspondences with NewMatcher.
 func NewCorrespondences() *Correspondences { return &match.Set{} }
 
-// NewMatcher creates an automatic schema matcher with default weights.
+// NewMatcher creates an automatic schema matcher.
 func NewMatcher() *Matcher { return match.NewMatcher() }
 
 // DefaultSettings returns the execution settings used in the paper's

@@ -82,19 +82,19 @@ type Counting struct {
 	// Scale calibrates the per-attribute effort; 1 is the published
 	// Table-1 weighting.
 	Scale float64
-	// DatabaseFraction restricts the estimate to the database-related
-	// share of the ETL project, since EFES and the measured ground
-	// truth cover only the database-related steps (§1: "we focus on
-	// exploring the database-related steps"). Harden's full catalog
-	// also prices project management, deployment, and support.
-	DatabaseFraction float64
 }
 
-// New creates the baseline with the published weights and a default
-// database-related fraction covering requirements/mapping, development,
-// and testing.
+// databaseFraction restricts the estimate to the database-related share
+// of the ETL project, since EFES and the measured ground truth cover only
+// the database-related steps (§1: "we focus on exploring the
+// database-related steps"). Harden's full catalog also prices project
+// management, deployment, and support; the fraction covers
+// requirements/mapping, development, and testing.
+const databaseFraction = 0.55
+
+// New creates the baseline with the published weights.
 func New() *Counting {
-	return &Counting{Scale: 1, DatabaseFraction: 0.55}
+	return &Counting{Scale: 1}
 }
 
 // SourceAttributes counts the attributes over all source databases of the
@@ -108,12 +108,12 @@ func SourceAttributes(s *core.Scenario) int {
 }
 
 // Estimate prices the scenario: minutes = attributes × 8.05h × 60 ×
-// DatabaseFraction × Scale. The expected quality does not change the
+// databaseFraction × Scale. The expected quality does not change the
 // baseline's view of the work (one of its shortcomings the paper
 // highlights); it is recorded for reporting only.
 func (c *Counting) Estimate(s *core.Scenario, q effort.Quality) *effort.Estimate {
 	attrs := float64(SourceAttributes(s))
-	total := attrs * HoursPerAttribute() * 60 * c.DatabaseFraction * c.Scale
+	total := attrs * HoursPerAttribute() * 60 * databaseFraction * c.Scale
 	mapping := total * mappingShare()
 	cleaning := total - mapping
 	return &effort.Estimate{
@@ -147,7 +147,7 @@ func (c *Counting) Estimate(s *core.Scenario, q effort.Quality) *effort.Estimate
 // returned tasks are pre-priced and deterministic for a given scenario.
 func (c *Counting) FallbackTasks(s *core.Scenario, module string, q effort.Quality) []effort.TaskEffort {
 	attrs := SourceAttributes(s)
-	total := float64(attrs) * HoursPerAttribute() * 60 * c.DatabaseFraction * c.Scale
+	total := float64(attrs) * HoursPerAttribute() * 60 * databaseFraction * c.Scale
 	mappingMin := total * mappingShare()
 	cleaningMin := total - mappingMin
 	cat := effort.CategoryCleaningStructure

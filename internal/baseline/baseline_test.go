@@ -34,7 +34,7 @@ func TestEstimateScalesWithAttributes(t *testing.T) {
 	c := New()
 	est := c.Estimate(scn, effort.LowEffort)
 	// The example source has 3+4+1+3 = 11 attributes.
-	want := 11 * 8.05 * 60 * c.DatabaseFraction
+	want := 11 * 8.05 * 60 * databaseFraction
 	if got := est.Total(); math.Abs(got-want) > 1e-6 {
 		t.Errorf("estimate = %v, want %v", got, want)
 	}

@@ -3,8 +3,6 @@ package csg
 import (
 	"context"
 	"sort"
-
-	"efes/internal/fanout"
 )
 
 // MaxPathLength bounds the path enumeration of the matcher. Real target
@@ -45,8 +43,7 @@ func FindPaths(g *Graph, from, to *Node, maxLen int) []Path {
 	return out
 }
 
-// pathSearch is the state of one depth-limited DFS traversal: a goroutine
-// confines one pathSearch, so branch traversals share nothing.
+// pathSearch is the state of one depth-limited DFS traversal.
 type pathSearch struct {
 	ctx       context.Context
 	g         *Graph
@@ -96,17 +93,10 @@ func (s *pathSearch) dfs(n *Node) {
 	}
 }
 
-// truncated reports whether the traversal was cut short by its step budget
-// or path cap (rather than running to exhaustion).
-func (s *pathSearch) truncated() bool {
-	return s.steps > maxStepsPerRound || len(s.out) >= s.maxPaths
-}
-
-// findRoundSequential runs one deepening round exactly as the original
-// single-threaded search: one traversal from the start node, in the
-// graph's edge-insertion order. prior is the number of paths found by
-// earlier rounds, which counts against the MaxPaths cap.
-func findRoundSequential(ctx context.Context, g *Graph, from, to *Node, limit, prior int) ([]Path, error) {
+// findRound runs one deepening round: one traversal from the start
+// node, in the graph's edge-insertion order. prior is the number of paths
+// found by earlier rounds, which counts against the MaxPaths cap.
+func findRound(ctx context.Context, g *Graph, from, to *Node, limit, prior int) ([]Path, error) {
 	s := &pathSearch{ctx: ctx, g: g, to: to, limit: limit,
 		maxPaths: MaxPaths - prior, visited: map[*Node]bool{from: true}}
 	s.dfs(from)
@@ -116,71 +106,11 @@ func findRoundSequential(ctx context.Context, g *Graph, from, to *Node, limit, p
 	return s.out, nil
 }
 
-// findRoundParallel runs one deepening round with one traversal per start
-// edge, each with fully private state, on one fanout.Run worker per
-// edge: path search sizes its pool by the graph, not by a worker count.
-// The merged
-// result is accepted only when no limit would have bound sequentially —
-// the root visit plus all branch visits fit the round's step budget and
-// prior plus all branch paths fit MaxPaths. Then every branch ran to
-// exhaustion, so concatenating them in edge order reproduces the
-// sequential enumeration exactly. Otherwise ok is false and the caller
-// reruns the round sequentially, reproducing the seed's deterministic
-// truncation (which depends on how the single traversal interleaves the
-// branches).
-func findRoundParallel(ctx context.Context, g *Graph, from, to *Node, limit, prior int) (paths []Path, ok bool, err error) {
-	edges := g.OutEdges(from)
-	branches := make([]*pathSearch, len(edges))
-	// A branch cannot fail: a cancelled one says so in its state.
-	_ = fanout.Run(len(edges), len(edges), func(i int) error {
-		e := edges[i]
-		if e.To == from {
-			return nil // the sequential root loop skips self-loops the same way
-		}
-		s := &pathSearch{ctx: ctx, g: g, to: to, limit: limit,
-			maxPaths: MaxPaths - prior,
-			visited:  map[*Node]bool{from: true, e.To: true},
-			current:  Path{e}}
-		branches[i] = s
-		s.dfs(e.To)
-		return nil
-	})
-	totalSteps := 1 // the root visit of the sequential traversal
-	found := 0
-	for _, b := range branches {
-		if b == nil {
-			continue
-		}
-		if b.cancelled {
-			return nil, false, ctx.Err()
-		}
-		if b.truncated() {
-			return nil, false, nil // not exhaustive: let the sequential rerun decide
-		}
-		totalSteps += b.steps
-		found += len(b.out)
-	}
-	if totalSteps > maxStepsPerRound || prior+found > MaxPaths {
-		return nil, false, nil
-	}
-	for _, b := range branches {
-		if b != nil {
-			paths = append(paths, b.out...)
-		}
-	}
-	return paths, true, nil
-}
-
 // FindPathsContext is FindPaths with cancellation: the search checks the
 // context before every deepening round and every 1024 node visits, and
 // returns the context's error when cancelled (dense discovered graphs can
 // hold exponentially many paths, so path search is the structure
 // detector's long pole under a module deadline).
-//
-// Each deepening round fans out across the start node's edges, one
-// worker per branch; when a round's step budget or the MaxPaths cap
-// binds, the round is rerun sequentially, so results — including truncated
-// ones — are bit-identical to the single-threaded search.
 func FindPathsContext(ctx context.Context, g *Graph, from, to *Node, maxLen int) ([]Path, error) {
 	if from == nil || to == nil {
 		return nil, nil
@@ -190,26 +120,9 @@ func FindPathsContext(ctx context.Context, g *Graph, from, to *Node, maxLen int)
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		var round []Path
-		if len(g.OutEdges(from)) > 1 {
-			var ok bool
-			var err error
-			round, ok, err = findRoundParallel(ctx, g, from, to, limit, len(out))
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				round, err = findRoundSequential(ctx, g, from, to, limit, len(out))
-				if err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			var err error
-			round, err = findRoundSequential(ctx, g, from, to, limit, len(out))
-			if err != nil {
-				return nil, err
-			}
+		round, err := findRound(ctx, g, from, to, limit, len(out))
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, round...)
 	}

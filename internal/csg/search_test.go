@@ -1,7 +1,6 @@
 package csg
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -132,19 +131,31 @@ func TestFindPathsDeterministicUnderTruncation(t *testing.T) {
 	}
 }
 
-// seqFindPaths is the reference enumeration: every deepening round runs
-// single-threaded. The parallel fan-out of FindPathsContext must be
-// indistinguishable from it.
-func seqFindPaths(t *testing.T, g *Graph, from, to *Node, maxLen int) []Path {
-	t.Helper()
+// referencePaths is the reference enumeration: one plain depth-first
+// walk that collects every simple path of at most maxLen edges from one
+// node to another, with no deepening, step budget or path cap, ordered
+// as FindPaths orders its result.
+func referencePaths(g *Graph, from, to *Node, maxLen int) []Path {
 	var out []Path
-	for limit := 1; limit <= maxLen && len(out) < MaxPaths; limit++ {
-		round, err := findRoundSequential(context.Background(), g, from, to, limit, len(out))
-		if err != nil {
-			t.Fatal(err)
+	visited := map[*Node]bool{from: true}
+	var walk func(n *Node, cur Path)
+	walk = func(n *Node, cur Path) {
+		if len(cur) > 0 && n == to {
+			out = append(out, append(Path(nil), cur...))
+			return
 		}
-		out = append(out, round...)
+		if len(cur) == maxLen {
+			return
+		}
+		for _, e := range g.OutEdges(n) {
+			if !visited[e.To] {
+				visited[e.To] = true
+				walk(e.To, append(cur, e))
+				visited[e.To] = false
+			}
+		}
 	}
+	walk(from, nil)
 	sort.Slice(out, func(i, j int) bool {
 		if len(out[i]) != len(out[j]) {
 			return len(out[i]) < len(out[j])
@@ -154,11 +165,11 @@ func seqFindPaths(t *testing.T, g *Graph, from, to *Node, maxLen int) []Path {
 	return out
 }
 
-// TestFindPathsParallelMatchesSequential compares the parallel round
-// fan-out against the single-threaded reference on graphs with many
-// branches, both with an unconstrained budget (parallel rounds accepted)
-// and a binding one (every round falls back to the sequential rerun).
-func TestFindPathsParallelMatchesSequential(t *testing.T) {
+// TestFindPathsMatchesReference compares the iterative-deepening search
+// with the reference enumeration wherever no round's step budget or the
+// MaxPaths cap binds: on a graph whose start node has many branches, and
+// between every pair of nodes of the Figure 2 source.
+func TestFindPathsMatchesReference(t *testing.T) {
 	render := func(paths []Path) string {
 		s := ""
 		for _, p := range paths {
@@ -168,10 +179,10 @@ func TestFindPathsParallelMatchesSequential(t *testing.T) {
 	}
 	check := func(g *Graph, from, to *Node, maxLen int) {
 		t.Helper()
-		want := render(seqFindPaths(t, g, from, to, maxLen))
+		want := render(referencePaths(g, from, to, maxLen))
 		got := render(FindPaths(g, from, to, maxLen))
 		if got != want {
-			t.Errorf("parallel result diverges from sequential for %s -> %s:\ngot\n%s\nwant\n%s",
+			t.Errorf("FindPaths diverges from the reference for %s -> %s:\ngot\n%s\nwant\n%s",
 				from.ID, to.ID, got, want)
 		}
 	}
@@ -187,11 +198,23 @@ func TestFindPathsParallelMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// A binding budget forces the sequential fallback in every round; the
-	// results must still match the reference exactly.
-	defer func(old int) { maxStepsPerRound = old }(maxStepsPerRound)
-	maxStepsPerRound = 400
-	g2, from2, to2 := denseDecoyGraph(t, 20, 3, true)
-	check(g2, from2, to2, 6)
+// TestFindPathsAllocBound pins path search to one traversal per
+// deepening round: matching albums to artist_credits.artist in the
+// Figure 2 source, the running example's, allocates 76 times. A round
+// fanned out over the start node's branches, one private traversal and
+// visited set per branch, allocated 232 times.
+func TestFindPathsAllocBound(t *testing.T) {
+	src := MustFromSchema(figure2Source())
+	from, to := src.Node("albums"), src.Node("artist_credits.artist")
+	if BestPath(FindPaths(src, from, to, MaxPathLength)) == nil {
+		t.Fatal("no path")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		FindPaths(src, from, to, MaxPathLength)
+	})
+	if allocs > 100 {
+		t.Errorf("FindPaths(albums -> artist_credits.artist): %v allocs/op, want ≤ 100", allocs)
+	}
 }

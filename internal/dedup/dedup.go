@@ -98,16 +98,15 @@ func DefaultFunction(t effort.Task) float64 {
 	return 5 + 0.4*t.Param("pairs")
 }
 
-// Module is the duplicate-resolution estimation module. The zero value is
-// not usable; construct it with New.
-type Module struct {
-	// MinGroupSize is the smallest number of equal identifying values
-	// that counts as a duplicate group (2 = any repetition).
-	MinGroupSize int
-}
+// Module is the duplicate-resolution estimation module.
+type Module struct{}
+
+// minGroupSize is the smallest number of equal identifying values that
+// counts as a duplicate group (2 = any repetition).
+const minGroupSize = 2
 
 // New creates the module.
-func New() *Module { return &Module{MinGroupSize: 2} }
+func New() *Module { return &Module{} }
 
 // Name implements core.Module.
 func (m *Module) Name() string { return ModuleName }
@@ -129,7 +128,7 @@ func (m *Module) AssessComplexity(s *core.Scenario) (core.Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			if pairs >= m.MinGroupSize-1 {
+			if pairs >= minGroupSize-1 {
 				report.Candidates = append(report.Candidates, Candidate{
 					Source: src.Name, Entity: corr.TargetTable,
 					Attribute: corr.TargetColumn, Pairs: pairs,
@@ -190,13 +189,16 @@ func duplicatePairs(src *relational.Database, st, sc string,
 	tgt *relational.Database, tt, tc string) (int, error) {
 
 	groups := func(db *relational.Database, table, column string) (map[string]int, error) {
-		distinct, _, err := db.DistinctValues(table, column)
-		if err != nil {
-			return nil, err
+		vec := db.Vector(table, column)
+		if vec == nil {
+			return nil, fmt.Errorf("dedup: unknown column %s.%s", table, column)
 		}
+		// The text view's dictionary holds each distinct value once,
+		// rendered as FormatValue renders it.
+		text, _ := vec.Coerced(relational.String)
 		out := make(map[string]int)
-		for _, v := range distinct {
-			out[normalize(relational.FormatValue(v))]++
+		for _, s := range text.Dict() {
+			out[normalize(s)]++
 		}
 		return out, nil
 	}

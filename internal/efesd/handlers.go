@@ -99,6 +99,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	scn := &core.Scenario{Name: req.Name, Target: target}
 	corrCount := 0
 	for _, src := range req.Sources {
+		if namesTarget(src.Name) {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("source %q: the name addresses the target", src.Name))
+			return
+		}
 		db, err := loadDB(src.dbSpec)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("source %s: %v", src.Name, err))
@@ -341,9 +345,13 @@ type profileRequest struct {
 	Column string `json:"column"`
 }
 
+// namesTarget reports whether a database name addresses a scenario's
+// target, so that no source can be named by it.
+func namesTarget(name string) bool { return name == "" || name == "target" }
+
 // resolveDB finds the requested database within a scenario.
 func resolveDB(e *scenarioEntry, name string) (*relational.Database, bool) {
-	if name == "" || name == "target" {
+	if namesTarget(name) {
 		return e.scn.Target, true
 	}
 	for _, src := range e.scn.Sources {
@@ -397,7 +405,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	db, ok := resolveDB(entry, req.Source)
-	if !ok || req.Source == "" || req.Source == "target" {
+	if !ok || namesTarget(req.Source) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown source %q", req.Source))
 		return
 	}

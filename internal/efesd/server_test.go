@@ -547,6 +547,35 @@ func TestUploadDiscoverAddsToExplicit(t *testing.T) {
 	}
 }
 
+// TestUploadRefusesTargetSourceName: the routes resolve "" and "target"
+// to a scenario's target, so a source by either name could never be
+// matched or profiled. The upload is refused with a 400 that names the
+// source, and no scenario is registered.
+func TestUploadRefusesTargetSourceName(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var req uploadRequest
+	if err := json.Unmarshal(renderUpload(t, scenario.MusicExample(scenario.SmallExampleConfig())), &req); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"", "target"} {
+		req.Sources[0].Name = name
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := post(t, ts.URL+"/v1/scenarios", body, nil)
+		var e map[string]string
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(data, &e) != nil ||
+			!strings.HasPrefix(e["error"], fmt.Sprintf("source %q: ", name)) {
+			t.Errorf("source %q: status %d: %s; want 400 naming the source", name, resp.StatusCode, data)
+		}
+	}
+	var list struct{ Scenarios []scenarioInfo }
+	if resp, data := get(t, ts.URL+"/v1/scenarios"); resp.StatusCode != http.StatusOK || json.Unmarshal(data, &list) != nil || len(list.Scenarios) != 0 {
+		t.Errorf("scenarios after refused uploads: status %d: %s", resp.StatusCode, data)
+	}
+}
+
 // TestNegativeRetriesRefused: a negative retry budget would run no
 // detector attempt and price an empty result as if it were clean, so a
 // request asking for one is a 400 and a server configured with one is

@@ -9,6 +9,7 @@ package match
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -193,22 +194,23 @@ func (s *Set) NodeMatch() map[string]string {
 // an attribute pair combines name similarity, datatype compatibility, and
 // instance similarity (value overlap and profile distance), echoing
 // standard schema-matching practice [10, 19].
-type Matcher struct {
-	// Threshold is the minimum composite score for a correspondence to
-	// be emitted. Defaults to 0.5.
-	Threshold float64
-	// NameWeight, TypeWeight, and InstanceWeight control the composite
-	// score; they are normalized internally.
-	NameWeight, TypeWeight, InstanceWeight float64
-	// SampleSize caps the number of distinct values used for instance
-	// similarity. Defaults to 1000.
-	SampleSize int
-}
+type Matcher struct{}
 
-// NewMatcher returns a Matcher with the default configuration.
-func NewMatcher() *Matcher {
-	return &Matcher{Threshold: 0.5, NameWeight: 0.5, TypeWeight: 0.15, InstanceWeight: 0.35, SampleSize: 1000}
-}
+// The matcher's configuration.
+const (
+	// threshold is the minimum composite score for a correspondence to
+	// be emitted.
+	threshold = 0.5
+	// nameWeight, typeWeight and instanceWeight weigh the composite
+	// score; they sum to 1.
+	nameWeight, typeWeight, instanceWeight = 0.5, 0.15, 0.35
+	// sampleSize caps the number of distinct values used for instance
+	// similarity.
+	sampleSize = 1000
+)
+
+// NewMatcher returns a Matcher.
+func NewMatcher() *Matcher { return &Matcher{} }
 
 // instanceProfile is the per-column data needed by instanceSimilarity,
 // profiled once per column and Match call instead of once per candidate
@@ -223,37 +225,75 @@ type instanceProfile struct {
 // columnCache memoizes instanceProfiles per column within one Match call.
 type columnCache map[string]*instanceProfile
 
-func (c columnCache) get(m *Matcher, db *relational.Database, table, column string) *instanceProfile {
+func (c columnCache) get(db *relational.Database, table, column string) *instanceProfile {
 	key := table + "\x00" + column
 	if p, ok := c[key]; ok {
 		return p
 	}
-	p := m.profileColumn(db, table, column)
+	p := profileColumn(db, table, column)
 	c[key] = p
 	return p
 }
 
 // profileColumn computes one column's instance profile (nil when the
-// column's values cannot be read). It reads the memoized sorted distinct
-// rendering off the columnar substrate — the same strings, in the same
-// order, that DistinctValues used to materialize per call.
-func (m *Matcher) profileColumn(db *relational.Database, table, column string) *instanceProfile {
+// column is unknown or holds no value). It samples the column as its
+// sampleSize lexicographically smallest distinct renderings: the
+// smallest entries of its text view's dictionary, which holds each
+// distinct value once, rendered as FormatValue renders it.
+func profileColumn(db *relational.Database, table, column string) *instanceProfile {
 	vec := db.Vector(table, column)
 	if vec == nil {
 		return nil
 	}
-	vs := vec.SortedDistinct()
+	text, _ := vec.Coerced(relational.String)
+	vs := smallest(text.Dict(), sampleSize)
 	if len(vs) == 0 {
 		return nil
-	}
-	if m.SampleSize > 0 && len(vs) > m.SampleSize {
-		vs = vs[:m.SampleSize]
 	}
 	set := make(map[string]struct{}, len(vs))
 	for _, s := range vs {
 		set[s] = struct{}{}
 	}
 	return &instanceProfile{set: set, pattern: dominantPattern(vs)}
+}
+
+// smallest returns the k lexicographically smallest strings of vs in
+// ascending order, or all of them when vs holds no more than k. A
+// max-heap keeps the k smallest strings seen so far, and a later string
+// replaces its root only when it is smaller, so the rest are never
+// sorted. vs is read, never reordered: it may be a column's own
+// dictionary.
+func smallest(vs []string, k int) []string {
+	h := slices.Clone(vs[:min(k, len(vs))])
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for _, s := range vs[len(h):] {
+		if len(h) > 0 && s < h[0] {
+			h[0] = s
+			siftDown(h, 0)
+		}
+	}
+	slices.Sort(h)
+	return h
+}
+
+// siftDown moves h[i] down the max-heap h until neither child is larger.
+func siftDown(h []string, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if h[i] >= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Match discovers attribute correspondences from a source database into a
@@ -269,12 +309,12 @@ func (m *Matcher) Match(source, target *relational.Database) *Set {
 	var candidates []scored
 	for _, st := range source.Schema.Tables() {
 		for _, sc := range st.Columns {
-			sp := srcProfiles.get(m, source, st.Name, sc.Name)
+			sp := srcProfiles.get(source, st.Name, sc.Name)
 			for _, tt := range target.Schema.Tables() {
 				for _, tc := range tt.Columns {
-					tp := tgtProfiles.get(m, target, tt.Name, tc.Name)
-					score := m.score(st, sc, tt, tc, sp, tp)
-					if score >= m.Threshold {
+					tp := tgtProfiles.get(target, tt.Name, tc.Name)
+					score := compositeScore(st, sc, tt, tc, sp, tp)
+					if score >= threshold {
 						candidates = append(candidates, scored{
 							c: Correspondence{
 								SourceTable: st.Name, SourceColumn: sc.Name,
@@ -310,7 +350,8 @@ func (m *Matcher) Match(source, target *relational.Database) *Set {
 	return out
 }
 
-func (m *Matcher) score(st *relational.Table, sc relational.Column,
+// compositeScore is the weighted score of one attribute pair.
+func compositeScore(st *relational.Table, sc relational.Column,
 	tt *relational.Table, tc relational.Column, sp, tp *instanceProfile) float64 {
 	name := nameSimilarity(sc.Name, tc.Name)
 	// Table-name agreement nudges attribute matches between
@@ -318,8 +359,7 @@ func (m *Matcher) score(st *relational.Table, sc relational.Column,
 	name = 0.8*name + 0.2*nameSimilarity(st.Name, tt.Name)
 	typ := typeCompatibility(sc.Type, tc.Type)
 	inst := instanceSimilarity(sp, tp)
-	wsum := m.NameWeight + m.TypeWeight + m.InstanceWeight
-	return (m.NameWeight*name + m.TypeWeight*typ + m.InstanceWeight*inst) / wsum
+	return nameWeight*name + typeWeight*typ + instanceWeight*inst
 }
 
 // nameSimilarity combines normalized Levenshtein similarity with token

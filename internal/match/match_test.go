@@ -2,10 +2,14 @@ package match
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"efes/internal/profile"
 	"efes/internal/relational"
 )
 
@@ -235,6 +239,76 @@ func TestMatcherDeterministic(t *testing.T) {
 	for i := range a.All {
 		if a.All[i] != b.All[i] {
 			t.Errorf("nondeterministic at %d: %v vs %v", i, a.All[i], b.All[i])
+		}
+	}
+}
+
+// TestSmallestIsSortedPrefix checks the heap selection against a full
+// sort: for random dictionaries of distinct strings, the k smallest are
+// the first k of the sorted dictionary, at k = 0, 1, len−1, len and
+// len+1, and the dictionary keeps its order.
+func TestSmallestIsSortedPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 3, 10, 257, 2000} {
+		seen := make(map[string]bool)
+		var dict []string
+		for len(dict) < n {
+			b := make([]byte, 1+rng.Intn(4))
+			for i := range b {
+				b[i] = "ab9Z \xc3\xa9"[rng.Intn(7)] // bytes, two above 0x7f
+			}
+			if s := string(b); !seen[s] {
+				seen[s] = true
+				dict = append(dict, s)
+			}
+		}
+		orig := slices.Clone(dict)
+		sorted := slices.Clone(dict)
+		slices.Sort(sorted)
+		for _, k := range []int{0, 1, n - 1, n, n + 1} {
+			if k < 0 {
+				continue
+			}
+			if got, want := smallest(dict, k), sorted[:min(k, n)]; !slices.Equal(got, want) {
+				t.Errorf("n=%d k=%d: smallest = %q, want %q", n, k, got, want)
+			}
+			if !slices.Equal(dict, orig) {
+				t.Fatalf("n=%d k=%d: smallest reordered its input", n, k)
+			}
+		}
+	}
+}
+
+// TestMatchAndDiscoverLeaveVectorsUnchanged: the matcher and constraint
+// discovery read a string column's dictionary as its own text view, so
+// neither may reorder or resize it. Every vector's Dict, Codes and
+// Counts are the same after a Match and a Discover of both databases.
+func TestMatchAndDiscoverLeaveVectorsUnchanged(t *testing.T) {
+	sdb, tdb := matcherFixture()
+	type snapshot struct {
+		dict   []string
+		codes  []int32
+		counts []int
+	}
+	take := func(db *relational.Database) []snapshot {
+		var out []snapshot
+		for _, tab := range db.Schema.Tables() {
+			for _, v := range db.Vectors(tab.Name) {
+				out = append(out, snapshot{slices.Clone(v.Dict()), slices.Clone(v.Codes()), slices.Clone(v.Counts())})
+			}
+		}
+		return out
+	}
+	before := [2][]snapshot{take(sdb), take(tdb)}
+	if slices.IsSorted(before[0][2].dict) {
+		t.Fatal("fixture: albums.artist_name's dictionary is already sorted")
+	}
+	NewMatcher().Match(sdb, tdb)
+	profile.Discover(sdb)
+	profile.Discover(tdb)
+	for i, db := range []*relational.Database{sdb, tdb} {
+		if after := take(db); !reflect.DeepEqual(after, before[i]) {
+			t.Errorf("%s: vectors changed:\nbefore %v\nafter  %v", db.Schema.Name, before[i], after)
 		}
 	}
 }

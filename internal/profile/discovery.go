@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -43,10 +45,16 @@ func Discover(db *relational.Database) *Discovery {
 	type colInfo struct {
 		ref relational.ColumnRef
 		typ relational.Type
-		// distinct is the column's sorted distinct rendering
-		// (ColumnVector.SortedDistinct): lexicographically ordered and
-		// duplicate-free, the substrate of the inclusion merge-joins.
-		distinct []string
+		// The column's distinct values, sorted and duplicate-free: the
+		// substrate of the inclusion merge-joins. An integer column
+		// keeps its int64s (ints); any other column keeps its
+		// renderings, a sorted copy of its text view's dictionary
+		// (strs). Inclusion compares columns of one type only, and an
+		// integer's rendering is injective, so both decide inclusion
+		// as the renderings would.
+		ints     []int64
+		strs     []string
+		distinct int
 		unique   bool
 		notNull  bool
 	}
@@ -58,15 +66,24 @@ func Discover(db *relational.Database) *Discovery {
 		vecs := db.Vectors(t.Name)
 		for ci, c := range t.Columns {
 			vec := vecs[ci]
+			info := &colInfo{
+				ref:     relational.ColumnRef{Table: t.Name, Column: c.Name},
+				typ:     c.Type,
+				notNull: vec.NullCount() == 0,
+			}
+			if c.Type == relational.Integer {
+				info.ints = distinctInts(vec)
+				info.distinct = len(info.ints)
+			} else {
+				// A string column is its own text view: sort a copy.
+				text, _ := vec.Coerced(relational.String)
+				info.strs = slices.Clone(text.Dict())
+				slices.Sort(info.strs)
+				info.distinct = len(info.strs)
+			}
 			nonNull := vec.Len() - vec.NullCount()
-			distinct := vec.SortedDistinct()
-			cols = append(cols, &colInfo{
-				ref:      relational.ColumnRef{Table: t.Name, Column: c.Name},
-				typ:      c.Type,
-				distinct: distinct,
-				unique:   nonNull > 0 && len(distinct) == nonNull,
-				notNull:  vec.NullCount() == 0,
-			})
+			info.unique = nonNull > 0 && info.distinct == nonNull
+			cols = append(cols, info)
 		}
 	}
 	for _, info := range cols {
@@ -97,7 +114,7 @@ func Discover(db *relational.Database) *Discovery {
 	}
 	// Unary inclusion dependencies into unique columns (FK candidates).
 	for _, dep := range cols {
-		if len(dep.distinct) == 0 {
+		if dep.distinct == 0 {
 			continue
 		}
 		for _, ref := range cols {
@@ -107,7 +124,8 @@ func Discover(db *relational.Database) *Discovery {
 			if dep.ref.Table == ref.ref.Table && dep.ref.Column == ref.ref.Column {
 				continue
 			}
-			if containsAllSorted(ref.distinct, dep.distinct) {
+			// One of the two pairs is empty: the columns share a type.
+			if containsAllSorted(ref.ints, dep.ints) && containsAllSorted(ref.strs, dep.strs) {
 				d.Inclusions = append(d.Inclusions, Inclusion{Dependent: dep.ref, Referenced: ref.ref})
 			}
 		}
@@ -122,11 +140,24 @@ func Discover(db *relational.Database) *Discovery {
 	return d
 }
 
+// distinctInts returns the distinct non-NULL values of an integer column,
+// sorted.
+func distinctInts(vec *relational.ColumnVector) []int64 {
+	keys := make([]int64, 0, vec.Len()-vec.NullCount())
+	for i, x := range vec.Ints() {
+		if !vec.Null(i) {
+			keys = append(keys, x)
+		}
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
 // containsAllSorted reports whether every element of sub also appears in
-// super. Both slices are lexicographically sorted and duplicate-free, so
-// a single linear merge (with endpoint quick-rejects) decides inclusion —
-// no hash probes, and disjoint ranges reject in O(1).
-func containsAllSorted(super, sub []string) bool {
+// super. Both slices are sorted and duplicate-free, so a single linear
+// merge (with endpoint quick-rejects) decides inclusion — no hash probes,
+// and disjoint ranges reject in O(1).
+func containsAllSorted[T cmp.Ordered](super, sub []T) bool {
 	if len(sub) > len(super) {
 		return false
 	}

@@ -3,6 +3,7 @@ package profile
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -244,7 +245,6 @@ func TestKernelsAfterMutations(t *testing.T) {
 			for _, workers := range shardWorkerCounts {
 				FromVectorSharded("t", "c", db.Vector("t", "c"), workers)
 			}
-			db.Vector("t", "c").SortedDistinct()
 			for step := 0; step < 60; step++ {
 				db.MustInsert("t", randomValue(rng, typ))
 			}
@@ -255,19 +255,22 @@ func TestKernelsAfterMutations(t *testing.T) {
 				ctx := typ.String() + "/mutated/w" + strconv.Itoa(workers)
 				statsEqual(t, ctx, want, FromVectorSharded("t", "c", vec, workers))
 			}
-			// The memoized sorted distinct must match the row path's too.
-			distinct, _, err := db.DistinctValues("t", "c")
-			if err != nil {
-				t.Fatalf("DistinctValues: %v", err)
-			}
-			sorted := vec.SortedDistinct()
-			if len(distinct) != len(sorted) {
-				t.Fatalf("%v: distinct count: row path %d, vector %d", typ, len(distinct), len(sorted))
-			}
-			for i, v := range distinct {
-				if relational.FormatValue(v) != sorted[i] {
-					t.Errorf("%v: distinct[%d]: row path %q, vector %q", typ, i, relational.FormatValue(v), sorted[i])
+			// The text view's dictionary, sorted, must be the row path's
+			// distinct renderings too.
+			seen := make(map[string]bool)
+			var distinct []string
+			for _, v := range values {
+				if r := relational.FormatValue(v); v != nil && !seen[r] {
+					seen[r] = true
+					distinct = append(distinct, r)
 				}
+			}
+			slices.Sort(distinct)
+			text, _ := vec.Coerced(relational.String)
+			sorted := slices.Clone(text.Dict())
+			slices.Sort(sorted)
+			if !slices.Equal(distinct, sorted) {
+				t.Errorf("%v: distinct renderings: row path %q, text view %q", typ, distinct, sorted)
 			}
 		}
 	}

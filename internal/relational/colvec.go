@@ -3,9 +3,7 @@ package relational
 import (
 	"math"
 	"slices"
-	"sort"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -17,7 +15,8 @@ import (
 // them, and the profiling kernels, the schema matcher, the CSG interner,
 // the discovery merge-joins and WriteCSV read them. The row API (Rows)
 // is a view derived from them, and so is a column seen through another
-// type (Coerced). Concurrent readers are safe, but an append must not
+// type (Coerced). A vector keeps nothing derived from its data, so it
+// holds no lock: concurrent readers are safe, but an append must not
 // race with reads.
 
 // ChunkSize is the number of rows (or, for string columns, dictionary
@@ -83,14 +82,6 @@ type ColumnVector struct {
 	floats []float64
 	bools  []bool
 	times  []time.Time
-
-	// memoized SortedDistinct result, valid while the vector holds
-	// memoLen rows: a vector only grows, so its length dates its
-	// content. The mutex only guards memo (re)computation: readers may
-	// share a vector, and the first one builds the memo for all.
-	memoMu  sync.Mutex
-	memo    []string //efes:guardedby memoMu
-	memoLen int      //efes:guardedby memoMu
 }
 
 func newColumnVector(t Type) *ColumnVector {
@@ -173,93 +164,6 @@ func FloatKey(x float64) uint64 {
 	return math.Float64bits(x)
 }
 
-// SortedDistinct returns the distinct non-NULL values of the column,
-// rendered with FormatValue and sorted lexicographically. The result is
-// memoized until the next append; it is the substrate of the
-// inclusion-dependency merge-joins and the matcher's instance profiles.
-// The returned slice must not be mutated.
-func (v *ColumnVector) SortedDistinct() []string {
-	v.memoMu.Lock()
-	defer v.memoMu.Unlock()
-	if v.memo == nil || v.memoLen != v.length {
-		v.memo, v.memoLen = v.computeSortedDistinct(), v.length
-	}
-	return v.memo
-}
-
-// computeSortedDistinct builds the sorted distinct rendering. For every
-// type the rendering collapses values exactly as FormatValue map keys do.
-//
-//efes:hot
-func (v *ColumnVector) computeSortedDistinct() []string {
-	switch v.typ {
-	case String:
-		out := make([]string, len(v.dict))
-		copy(out, v.dict)
-		sort.Strings(out)
-		return out
-	case Integer:
-		seen := make(map[int64]struct{})
-		for i, x := range v.ints {
-			if !v.nulls.Get(i) {
-				seen[x] = struct{}{}
-			}
-		}
-		out := make([]string, 0, len(seen))
-		for x := range seen {
-			out = append(out, strconv.FormatInt(x, 10))
-		}
-		sort.Strings(out)
-		return out
-	case Float:
-		seen := make(map[uint64]struct{})
-		for i, x := range v.floats {
-			if !v.nulls.Get(i) {
-				seen[FloatKey(x)] = struct{}{}
-			}
-		}
-		out := make([]string, 0, len(seen))
-		for b := range seen {
-			out = append(out, FormatFloat(math.Float64frombits(b)))
-		}
-		sort.Strings(out)
-		return out
-	case Bool:
-		var hasTrue, hasFalse bool
-		for i, x := range v.bools {
-			if v.nulls.Get(i) {
-				continue
-			}
-			if x {
-				hasTrue = true
-			} else {
-				hasFalse = true
-			}
-		}
-		out := make([]string, 0, 2)
-		if hasFalse {
-			out = append(out, "false")
-		}
-		if hasTrue {
-			out = append(out, "true")
-		}
-		return out
-	default: // Time: collapse by rendering (RFC3339 drops sub-second detail)
-		seen := make(map[string]struct{})
-		for i, x := range v.times {
-			if !v.nulls.Get(i) {
-				seen[FormatTime(x)] = struct{}{}
-			}
-		}
-		out := make([]string, 0, len(seen))
-		for s := range seen {
-			out = append(out, s)
-		}
-		sort.Strings(out)
-		return out
-	}
-}
-
 // Coerced returns the column as Coerce converts each of its values to t,
 // and the number of values that do not convert. The view keeps the
 // column's row order and its NULLs, and leaves out each row whose value
@@ -273,7 +177,9 @@ func (v *ColumnVector) computeSortedDistinct() []string {
 //
 // Coerced is the one place where it is decided which values convert and
 // into what: the profiler views a source column through its target's
-// type with it (value fit, §5 of the paper).
+// type with it (value fit, §5 of the paper), and the matcher, constraint
+// discovery and the dedup module read a column's distinct renderings as
+// its text view's dictionary.
 //
 //efes:hot
 func (v *ColumnVector) Coerced(t Type) (view *ColumnVector, dropped int) {

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -184,33 +183,6 @@ func (db *Database) MustColumn(table, column string) []Value {
 		panic(err)
 	}
 	return vs
-}
-
-// DistinctValues returns the distinct non-NULL values of a column, in
-// deterministic (sorted) order, and the number of NULLs.
-func (db *Database) DistinctValues(table, column string) (distinct []Value, nulls int, err error) {
-	vs, err := db.Column(table, column)
-	if err != nil {
-		return nil, 0, err
-	}
-	seen := make(map[string]Value)
-	for _, v := range vs {
-		if v == nil {
-			nulls++
-			continue
-		}
-		seen[FormatValue(v)] = v
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	distinct = make([]Value, 0, len(keys))
-	for _, k := range keys {
-		distinct = append(distinct, seen[k])
-	}
-	return distinct, nulls, nil
 }
 
 // Validate checks every declared constraint against the instance and

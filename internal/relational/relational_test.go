@@ -287,23 +287,6 @@ func TestCompositeKeySafety(t *testing.T) {
 	}
 }
 
-func TestDistinctValues(t *testing.T) {
-	db := NewDatabase(testSchema(t))
-	db.MustInsert("artists", 1, "A")
-	db.MustInsert("artists", 2, "B")
-	db.MustInsert("albums", 1, "t1", 1, nil)
-	db.MustInsert("albums", 2, "t2", 1, nil)
-	db.MustInsert("albums", 3, "t3", 2, nil)
-	db.MustInsert("albums", 4, "t4", nil, nil)
-	distinct, nulls, err := db.DistinctValues("albums", "artist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(distinct) != 2 || nulls != 1 {
-		t.Errorf("DistinctValues = %v, %d; want 2 values, 1 null", distinct, nulls)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	db := NewDatabase(testSchema(t))
 	db.MustInsert("artists", 1, "A")

@@ -2,7 +2,6 @@ package relational
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -137,44 +136,6 @@ func TestTypedParsersDoNotAllocate(t *testing.T) {
 	for name, fn := range checks {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
-		}
-	}
-}
-
-// TestSortedDistinctConcurrent exercises the memoMu discipline the
-// guardedby annotation on ColumnVector.memo documents: concurrent first
-// readers must safely share the one memo build (run under -race by make
-// verify).
-func TestSortedDistinctConcurrent(t *testing.T) {
-	s := NewSchema("conc")
-	tab, err := NewTable("t", Column{Name: "c", Type: Integer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddTable(tab); err != nil {
-		t.Fatal(err)
-	}
-	db := NewDatabase(s)
-	for i := 0; i < 1000; i++ {
-		db.MustInsert("t", int64(i%37))
-	}
-	vec := db.Vector("t", "c")
-	if vec == nil {
-		t.Fatal("Vector returned nil")
-	}
-	results := make([][]string, 8)
-	var wg sync.WaitGroup
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = vec.SortedDistinct()
-		}(i)
-	}
-	wg.Wait()
-	for i, r := range results {
-		if len(r) != 37 {
-			t.Fatalf("goroutine %d: %d distinct values, want 37", i, len(r))
 		}
 	}
 }

@@ -37,12 +37,9 @@ func TestMusicExampleShape(t *testing.T) {
 	if got := src.NumRows("songs"); got != cfg.Songs {
 		t.Errorf("songs = %d, want %d", got, cfg.Songs)
 	}
-	distinct, _, err := src.DistinctValues("songs", "length")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(distinct) != cfg.DistinctLengths {
-		t.Errorf("distinct lengths = %d, want %d", len(distinct), cfg.DistinctLengths)
+	lengths, _ := src.Vector("songs", "length").Coerced(relational.String)
+	if got := len(lengths.Dict()); got != cfg.DistinctLengths {
+		t.Errorf("distinct lengths = %d, want %d", got, cfg.DistinctLengths)
 	}
 	// Albums with zero credited artists: those whose artist list joins
 	// no credit (NULLs never join).

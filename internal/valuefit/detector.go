@@ -46,6 +46,20 @@ const (
 // threshold").
 const FitThreshold = 0.9
 
+// The other thresholds of Algorithm 1.
+const (
+	// fewerValuesFactor is the threshold of
+	// substantiallyFewerSourceValues: the source fill status must be
+	// below this fraction of the target's.
+	fewerValuesFactor = 0.5
+	// domainDistinctLimit bounds the distinct values of a
+	// domain-restricted attribute.
+	domainDistinctLimit = 24
+	// domainConstancy is the minimum constancy of a domain-restricted
+	// attribute.
+	domainConstancy = 0.5
+)
+
 // Heterogeneity is one detected value heterogeneity with the additional
 // parameters of Table 6.
 type Heterogeneity struct {
@@ -121,16 +135,6 @@ const ModuleName = "value heterogeneities"
 
 // Module is the value-heterogeneity estimation module.
 type Module struct {
-	// FewerValuesFactor is the threshold of
-	// substantiallyFewerSourceValues: the source fill status must be
-	// below this fraction of the target's. Defaults to 0.5.
-	FewerValuesFactor float64
-	// DomainDistinctLimit bounds the distinct values of a
-	// domain-restricted attribute. Defaults to 24.
-	DomainDistinctLimit int
-	// DomainConstancy is the minimum constancy of a domain-restricted
-	// attribute. Defaults to 0.5.
-	DomainConstancy float64
 	// Profiler memoizes column profiles across correspondences (and,
 	// when shared, across scenarios and goroutines). When nil, each
 	// AssessComplexity call uses a private cache, which still profiles
@@ -139,10 +143,8 @@ type Module struct {
 	Profiler *profile.Profiler
 }
 
-// New creates the module with the default thresholds.
-func New() *Module {
-	return &Module{FewerValuesFactor: 0.5, DomainDistinctLimit: 24, DomainConstancy: 0.5}
-}
+// New creates the module.
+func New() *Module { return &Module{} }
 
 // Name implements core.Module.
 func (m *Module) Name() string { return ModuleName }
@@ -248,7 +250,7 @@ func (m *Module) checkPair(ctx context.Context, prof *profile.Profiler, src *cor
 	}
 
 	// Algorithm 1, line 1: substantially fewer source values.
-	if tstats.Rows > 0 && rawSS.Rows > 0 && rawSS.Fill < m.FewerValuesFactor*tstats.Fill {
+	if tstats.Rows > 0 && rawSS.Rows > 0 && rawSS.Fill < fewerValuesFactor*tstats.Fill {
 		h.Kind = TooFewElements
 		return h, nil
 	}
@@ -261,8 +263,8 @@ func (m *Module) checkPair(ctx context.Context, prof *profile.Profiler, src *cor
 		return nil, nil // nothing to compare
 	}
 	// Lines 5-8: domain granularity mismatch.
-	srcRestricted := m.domainRestricted(ss)
-	tgtRestricted := m.domainRestricted(tstats)
+	srcRestricted := domainRestricted(ss)
+	tgtRestricted := domainRestricted(tstats)
 	switch {
 	case srcRestricted && !tgtRestricted:
 		h.Kind = TooCoarse
@@ -307,12 +309,12 @@ func generatedColumn(s *relational.Schema, table, column string) bool {
 // domainRestricted classifies whether an attribute's values come from a
 // discrete domain, using constancy (the inverse of Shannon's entropy) and
 // the distinct-value count.
-func (m *Module) domainRestricted(cs *profile.ColumnStats) bool {
+func domainRestricted(cs *profile.ColumnStats) bool {
 	nonNull := cs.Rows - cs.Nulls
 	if nonNull == 0 || cs.Distinct == 0 {
 		return false
 	}
-	if cs.Distinct > m.DomainDistinctLimit {
+	if cs.Distinct > domainDistinctLimit {
 		return false
 	}
 	// Few distinct values only indicate a domain if they actually
@@ -320,7 +322,7 @@ func (m *Module) domainRestricted(cs *profile.ColumnStats) bool {
 	if nonNull < 2*cs.Distinct {
 		return false
 	}
-	return cs.Constancy >= m.DomainConstancy || cs.TopKCoverage >= 0.95
+	return cs.Constancy >= domainConstancy || cs.TopKCoverage >= 0.95
 }
 
 // statFit pairs an importance score with a fit value for one statistic

@@ -345,21 +345,20 @@ func toStrings(vs []relational.Value) []relational.Value {
 }
 
 func TestDomainRestricted(t *testing.T) {
-	m := New()
 	var domain []relational.Value
 	for i := 0; i < 100; i++ {
 		domain = append(domain, []string{"a", "b", "c"}[i%3])
 	}
-	if !m.domainRestricted(profile.Values("t", "c", relational.String, domain)) {
+	if !domainRestricted(profile.Values("t", "c", relational.String, domain)) {
 		t.Error("3-value domain over 100 rows should be restricted")
 	}
-	if m.domainRestricted(profile.Values("t", "c", relational.String, strs("a", "b", "c"))) {
+	if domainRestricted(profile.Values("t", "c", relational.String, strs("a", "b", "c"))) {
 		t.Error("3 rows with 3 values is not a domain")
 	}
-	if m.domainRestricted(profile.Values("t", "c", relational.String, toStrings(millis(200)))) {
+	if domainRestricted(profile.Values("t", "c", relational.String, toStrings(millis(200)))) {
 		t.Error("200 distinct values is not a restricted domain")
 	}
-	if m.domainRestricted(profile.Values("t", "c", relational.String, nil)) {
+	if domainRestricted(profile.Values("t", "c", relational.String, nil)) {
 		t.Error("empty column is not a domain")
 	}
 }
