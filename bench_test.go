@@ -527,10 +527,10 @@ func BenchmarkProfileDatabaseLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileDatabaseLargeSharded is BenchmarkProfileDatabaseLarge
-// with four chunk workers: the same bit-identical exact kernels, fanned
-// out over the column chunks.
-func BenchmarkProfileDatabaseLargeSharded(b *testing.B) {
+// BenchmarkProfileDatabaseLargeParallel is BenchmarkProfileDatabaseLarge
+// at four workers: ProfileDatabase's fan-out profiles up to four columns
+// at once, each in one pass.
+func BenchmarkProfileDatabaseLargeParallel(b *testing.B) {
 	db := largeExample().Sources[0].DB
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -693,7 +693,7 @@ func warmVectors(db *relational.Database) {
 
 // BenchmarkProfileDatabaseXLarge profiles every column of the XLarge
 // source (~1M songs) with the exact kernels, single-worker — the
-// baseline for the sharded variant below.
+// baseline for the parallel variant below.
 func BenchmarkProfileDatabaseXLarge(b *testing.B) {
 	if testing.Short() {
 		b.Skip("XLarge scenario generation is expensive; skipped under -short")
@@ -708,10 +708,10 @@ func BenchmarkProfileDatabaseXLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileDatabaseXLargeSharded is the exact path with four
-// chunk workers over the XLarge source: identical output bytes, the
-// chunk fan-out amortizing the per-column pass on multi-core machines.
-func BenchmarkProfileDatabaseXLargeSharded(b *testing.B) {
+// BenchmarkProfileDatabaseXLargeParallel profiles the XLarge source at
+// four workers: identical output bytes, with ProfileDatabase's fan-out
+// profiling up to four columns at once, each in one pass.
+func BenchmarkProfileDatabaseXLargeParallel(b *testing.B) {
 	if testing.Short() {
 		b.Skip("XLarge scenario generation is expensive; skipped under -short")
 	}

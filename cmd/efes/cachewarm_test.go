@@ -137,3 +137,28 @@ func TestNegativeRetriesFailBeforeCache(t *testing.T) {
 		t.Errorf("the plain run printed a 0-minute estimate:\n%s", plain)
 	}
 }
+
+// TestWorkersBelowOneFail: the detectors would read -workers 0 as one
+// at a time and the profiler as every CPU, so the CLI refuses a value
+// below 1 before it loads anything or opens the cache.
+func TestWorkersBelowOneFail(t *testing.T) {
+	root := t.TempDir()
+	targetDir, srcDir, corrFile := saveMusicScenario(t, root)
+	cacheDir := filepath.Join(root, "cache")
+	for _, w := range []string{"0", "-2"} {
+		args := []string{
+			"-target", targetDir, "-source", srcDir, "-corr", corrFile,
+			"-json", "-cache-dir", cacheDir, "-workers", w,
+		}
+		out, errOut, err := execCLI(args...)
+		if err == nil || !bytes.Contains(errOut, []byte("-workers "+w+" is below 1")) {
+			t.Fatalf("-workers %s: err %v, stdout %q, stderr %q; want a failure naming the flag", w, err, out, errOut)
+		}
+		if len(out) != 0 {
+			t.Errorf("-workers %s printed %q", w, out)
+		}
+		if _, err := os.Stat(cacheDir); !os.IsNotExist(err) {
+			t.Fatalf("-workers %s opened the cache directory (%v)", w, err)
+		}
+	}
+}

@@ -58,7 +58,7 @@ func main() {
 	heatmap := flag.Bool("heatmap", false, "append the problem heatmap over the target schema")
 	htmlOut := flag.String("html", "", "write a self-contained HTML report (with cost-benefit curve) to FILE")
 	writeConfig := flag.String("write-config", "", "write the default effort configuration to FILE and exit")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "number of concurrent module detectors, value-fit attribute pairs and profiling chunks (1 = one at a time)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "number of concurrent module detectors and value-fit attribute pairs, at least 1 (1 = one at a time)")
 	csvOut := flag.String("csv", "", "write the result (tasks + failures) as CSV to FILE")
 	timeout := flag.Duration("timeout", 0, "overall deadline for the estimation (0 = none)")
 	moduleTimeout := flag.Duration("module-timeout", 0, "deadline per module detector attempt (0 = none)")
@@ -72,6 +72,9 @@ func main() {
 	}
 	if *retries < 0 {
 		fatal(fmt.Errorf("-retries %d is negative", *retries))
+	}
+	if *workers < 1 {
+		fatal(fmt.Errorf("-workers %d is below 1", *workers))
 	}
 	if *writeConfig != "" {
 		f, err := os.Create(*writeConfig)

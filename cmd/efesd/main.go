@@ -42,7 +42,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
 	cacheDir := flag.String("cache-dir", "", "durable cache directory (empty = memory only)")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "cache size bound in bytes (0 = default, negative = unbounded)")
-	workers := flag.Int("workers", 1, "concurrent module detectors, value-fit attribute pairs and profiling chunks per request")
+	workers := flag.Int("workers", 1, "concurrent module detectors and value-fit attribute pairs per request (below 1 = 1)")
 	maxInFlight := flag.Int("max-inflight", efesd.DefaultMaxInFlight, "admitted concurrent requests; excess is shed with 429")
 	maxUploadBytes := flag.Int64("max-upload-bytes", efesd.DefaultMaxUploadBytes, "largest scenario upload body in bytes; a larger one is refused with 413")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "default overall deadline per estimate request (0 = none)")

@@ -216,10 +216,10 @@ func (f *Framework) attemptDetector(ctx context.Context, m Module, s *Scenario) 
 	// The one transitive wait the analyzer flags — fanout.Run's
 	// WaitGroup.Wait, reached through the detectors — is bounded: every
 	// worker Run starts is Add/defer-Done paired and runs finite items
-	// (profiling chunks, and value-fit pairs that check mctx before each
-	// pair), so when the select below abandons the attempt the deferred
-	// cancel cuts the work short and the Wait (and with it this
-	// goroutine) still terminates promptly.
+	// (value-fit pairs, which check mctx before each pair and profile
+	// each column in one pass), so when the select below abandons the
+	// attempt the deferred cancel cuts the work short and the Wait (and
+	// with it this goroutine) still terminates promptly.
 	ch := make(chan detectorOutcome, 1)
 	//lint:ignore goleak fanout.Run's Wait is bounded (workers are Add/defer-Done paired and run finite items that poll mctx), so the detached attempt always runs to completion; the cap-1 buffered send then never blocks
 	go func() {

@@ -1,9 +1,10 @@
 // Package fanout is the one worker pool of the estimation pipeline
 // (DESIGN.md §6). Every parallel level — module detectors, value-fit
-// attribute pairs, profiling chunks and the experiment grid — runs n
-// independent items through Run and gets back what an in-order loop over
-// them would return. Every level sizes its pool by the caller's worker
-// count, so at one worker nothing runs off the caller's goroutine.
+// attribute pairs, ProfileDatabase's columns and the experiment grid —
+// runs n independent items through Run and gets back what an in-order
+// loop over them would return. Every level sizes its pool by the
+// caller's worker count, so at one worker nothing runs off the caller's
+// goroutine.
 package fanout
 
 import (

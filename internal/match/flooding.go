@@ -14,20 +14,21 @@ import (
 // graph; an initial string-similarity assignment is propagated over that
 // graph until a fixpoint, so that "two elements are similar when their
 // neighbors are similar".
-type FloodMatcher struct {
-	// Threshold is the minimum relative similarity (fraction of the
-	// best score) for a pair to be selected. Defaults to 0.6.
-	Threshold float64
-	// MaxIterations bounds the fixpoint computation. Defaults to 32.
-	MaxIterations int
-	// Epsilon is the convergence bound on the maximum score change.
-	Epsilon float64
-}
+type FloodMatcher struct{}
 
-// NewFloodMatcher returns a FloodMatcher with the default configuration.
-func NewFloodMatcher() *FloodMatcher {
-	return &FloodMatcher{Threshold: 0.6, MaxIterations: 32, Epsilon: 1e-4}
-}
+// The flooding matcher's configuration.
+const (
+	// floodThreshold is the minimum relative similarity (fraction of
+	// the best score) for a pair to be selected.
+	floodThreshold = 0.6
+	// floodMaxIterations bounds the fixpoint computation.
+	floodMaxIterations = 32
+	// floodEpsilon is the convergence bound on the maximum score change.
+	floodEpsilon = 1e-4
+)
+
+// NewFloodMatcher returns a FloodMatcher.
+func NewFloodMatcher() *FloodMatcher { return &FloodMatcher{} }
 
 // schemaGraph is the directed labeled graph view of a schema used by the
 // flooding algorithm.
@@ -172,7 +173,7 @@ func (m *FloodMatcher) Match(source, target *relational.Database) *Set {
 		}
 		return keys[a].j < keys[b].j
 	})
-	for iter := 0; iter < m.MaxIterations; iter++ {
+	for iter := 0; iter < floodMaxIterations; iter++ {
 		next := make(map[pairKey]float64, len(sigma))
 		maxVal := 0.0
 		for _, k := range keys {
@@ -201,7 +202,7 @@ func (m *FloodMatcher) Match(source, target *relational.Database) *Set {
 			}
 		}
 		sigma = next
-		if delta < m.Epsilon {
+		if delta < floodEpsilon {
 			break
 		}
 	}
@@ -211,7 +212,7 @@ func (m *FloodMatcher) Match(source, target *relational.Database) *Set {
 
 // selectPairs applies Melnik-style relative-similarity filtering and a
 // greedy 1:1 selection to the converged similarities: a pair survives
-// when its score reaches the Threshold fraction of both its source
+// when its score reaches the floodThreshold fraction of both its source
 // element's and its target element's best score (global normalization
 // concentrates absolute scores on hub elements, so per-element relative
 // scores are the meaningful signal).
@@ -232,7 +233,7 @@ func (m *FloodMatcher) selectPairs(sg, tg *schemaGraph, sigma map[pairKey]float6
 	}
 	var columnPairs, tablePairs []scored
 	for k, v := range sigma {
-		if v < m.Threshold*rowBest[k.i] || v < m.Threshold*colBest[k.j] {
+		if v < floodThreshold*rowBest[k.i] || v < floodThreshold*colBest[k.j] {
 			continue
 		}
 		if sg.isTable[sg.nodes[k.i]] {

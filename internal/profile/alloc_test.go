@@ -29,12 +29,12 @@ func repeatedVector(t *testing.T, typ relational.Type, n, d int, value func(k in
 }
 
 // TestCoercedFromStringAllocBound is the hotalloc regression for the
-// coerced views: profiling a column through another type on one worker
-// must allocate O(distinct) times, not O(rows). A string column is
-// parsed once per dictionary entry through the typed helpers with no
-// per-value boxing, a numeric conversion writes the view's typed slice,
-// and a text view renders each value into one reused buffer; so no view
-// can fall back to one allocation per row.
+// coerced views: profiling a column through another type must allocate
+// O(distinct) times, not O(rows). A string column is parsed once per
+// dictionary entry through the typed helpers with no per-value boxing,
+// a numeric conversion writes the view's typed slice, and a text view
+// renders each value into one reused buffer; so no view can fall back
+// to one allocation per row.
 func TestCoercedFromStringAllocBound(t *testing.T) {
 	const rows, distinct = 4096, 8
 	day := time.Date(2021, 3, 14, 15, 9, 26, 0, time.UTC)
@@ -55,53 +55,61 @@ func TestCoercedFromStringAllocBound(t *testing.T) {
 	}
 	for _, c := range cases {
 		vec := repeatedVector(t, c.src, rows, distinct, c.value)
-		if _, inc := FromVectorCoercedSharded("t", "c", vec, c.dst, 1); inc != 0 {
+		if _, inc := FromVectorCoerced("t", "c", vec, c.dst); inc != 0 {
 			t.Fatalf("%v→%v: %d incompatible values, want 0", c.src, c.dst, inc)
 		}
 		allocs := testing.AllocsPerRun(5, func() {
-			FromVectorCoercedSharded("t", "c", vec, c.dst, 1)
+			FromVectorCoerced("t", "c", vec, c.dst)
 		})
 		// Generous fixed overhead (stats struct, the view, count maps,
 		// dense vector, finish helpers) plus a few per distinct value;
 		// far below one per row, which is what a reintroduced per-value
 		// allocation would cost.
 		if limit := float64(64 + 8*distinct); allocs > limit {
-			t.Errorf("FromVectorCoercedSharded(%v→%v, %d rows, %d distinct, 1 worker): %v allocs/op, want ≤ %v",
+			t.Errorf("FromVectorCoerced(%v→%v, %d rows, %d distinct): %v allocs/op, want ≤ %v",
 				c.src, c.dst, rows, distinct, allocs, limit)
 		}
 	}
 }
 
-// TestStringKernelAllocBound is the hotalloc regression for the sharded
-// string kernel: profiling 20,000 distinct strings of 3 patterns must
-// allocate a constant plus a few times per pattern, not once per
-// dictionary entry, which is what building each entry's Pattern string
-// would cost.
+// TestStringKernelAllocBound is the hotalloc regression for the string
+// kernel: profiling 20,000 distinct strings of 3 patterns must allocate
+// a constant plus a few times per pattern, not once per dictionary
+// entry, which is what building each entry's Pattern string would cost.
+// A dictionary of 70,000 entries must allocate no more than the 20,000
+// entries do: the kernel walks any dictionary in one pass, so its
+// allocations do not grow with the entry count.
 func TestStringKernelAllocBound(t *testing.T) {
-	const distinct, patterns = 20000, 3
-	s := relational.NewSchema("alloc")
-	s.MustAddTable(relational.MustTable("t", relational.Column{Name: "c", Type: relational.String}))
-	db := relational.NewDatabase(s)
-	for i := 0; i < distinct; i++ {
-		switch i % patterns {
-		case 0:
-			db.MustInsert("t", fmt.Sprintf("Track %d", i)) // "a 9"
-		case 1:
-			db.MustInsert("t", fmt.Sprintf("%d:%02d", i/60, i%60)) // "9:9"
-		default:
-			db.MustInsert("t", fmt.Sprintf("side-%d", i)) // "a-9"
+	const patterns = 3
+	allocs := func(distinct int) float64 {
+		t.Helper()
+		s := relational.NewSchema("alloc")
+		s.MustAddTable(relational.MustTable("t", relational.Column{Name: "c", Type: relational.String}))
+		db := relational.NewDatabase(s)
+		for i := 0; i < distinct; i++ {
+			switch i % patterns {
+			case 0:
+				db.MustInsert("t", fmt.Sprintf("Track %d", i)) // "a 9"
+			case 1:
+				db.MustInsert("t", fmt.Sprintf("%d:%02d", i/60, i%60)) // "9:9"
+			default:
+				db.MustInsert("t", fmt.Sprintf("side-%d", i)) // "a-9"
+			}
 		}
+		vec := db.Vector("t", "c")
+		if got := FromVector("t", "c", vec); len(got.Patterns) != patterns || got.Distinct != distinct {
+			t.Fatalf("%d patterns, %d distinct; want %d, %d", len(got.Patterns), got.Distinct, patterns, distinct)
+		}
+		return testing.AllocsPerRun(5, func() {
+			FromVector("t", "c", vec)
+		})
 	}
-	vec := db.Vector("t", "c")
-	if got := FromVectorSharded("t", "c", vec, 1); len(got.Patterns) != patterns || got.Distinct != distinct {
-		t.Fatalf("%d patterns, %d distinct; want %d, %d", len(got.Patterns), got.Distinct, patterns, distinct)
+	small := allocs(20000)
+	if limit := float64(64 + 8*patterns); small > limit {
+		t.Errorf("FromVector(string, 20000 distinct, %d patterns): %v allocs/op, want ≤ %v", patterns, small, limit)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		FromVectorSharded("t", "c", vec, 1)
-	})
-	if limit := float64(64 + 8*patterns); allocs > limit {
-		t.Errorf("FromVectorSharded(string, %d distinct, %d patterns): %v allocs/op, want ≤ %v",
-			distinct, patterns, allocs, limit)
+	if large := allocs(70000); large > small {
+		t.Errorf("FromVector(string, 70000 distinct, %d patterns): %v allocs/op, want ≤ %v (20000 distinct)", patterns, large, small)
 	}
 }
 

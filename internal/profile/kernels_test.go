@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,15 +12,15 @@ import (
 	"efes/internal/relational"
 )
 
-// The property tests of the columnar kernels (shard.go) compare them with
-// the seed row-path implementation (Values in stats.go), which is kept as
-// the oracle: random typed columns with NULLs, ±Inf, NaN, -0,
+// The property tests of the columnar kernels (kernels.go) compare them
+// with the seed row-path implementation (Values in stats.go), which is
+// kept as the oracle: random typed columns with NULLs, ±Inf, NaN, -0,
 // 1e16-magnitude values, and unicode strings are profiled through both
 // paths — raw and through every coercion target — and every float is
 // compared by bit pattern. This file holds the generators, the
-// comparison, the property grid at one worker and the test of inserts
-// after a first profile; shard_test.go runs the grid at more workers and
-// adds multi-chunk columns.
+// comparison, the property grid, the columns of more than 65,536 rows
+// or distinct values the grid cannot reach, the tests of inserts after a
+// first profile, and the int→string view's fuzz target.
 
 var allTypes = []relational.Type{
 	relational.String, relational.Integer, relational.Float, relational.Bool, relational.Time,
@@ -191,70 +192,141 @@ func oracleCoerced(table, column string, typ relational.Type, values []relationa
 	return Values(table, column, typ, coerced), incompatible
 }
 
-// checkGridAgainstRowPath profiles the property grid (seeds 1–4, every
-// type, 0, 1, 7 and 400 rows) through FromVectorSharded and
-// FromVectorCoercedSharded at each of the given worker counts, raw and
-// through every coercion target, and compares every profile with the row
-// path bit for bit.
-func checkGridAgainstRowPath(t *testing.T, workerCounts []int) {
+// checkAgainstRowPath profiles column col of table t in db through
+// FromVector, and through FromVectorCoerced for each type of dsts, and
+// compares every profile with the row path bit for bit.
+func checkAgainstRowPath(t *testing.T, ctx string, db *relational.Database, col string, dsts []relational.Type) {
 	t.Helper()
+	values := db.MustColumn("t", col)
+	vec := db.Vector("t", col)
+	if vec == nil {
+		t.Fatal("Vector returned nil for known column")
+	}
+	statsEqual(t, ctx+"/raw", Values("t", col, vec.Type(), values), FromVector("t", col, vec))
+	for _, dst := range dsts {
+		want, wantInc := oracleCoerced("t", col, dst, values)
+		got, gotInc := FromVectorCoerced("t", col, vec, dst)
+		cctx := ctx + "->" + dst.String()
+		if wantInc != gotInc {
+			t.Errorf("%s: incompatible: want %d, got %d", cctx, wantInc, gotInc)
+		}
+		statsEqual(t, cctx, want, got)
+	}
+}
+
+// TestKernelsBitIdenticalToRowPath runs the property grid (seeds 1–4,
+// every type, 0, 1, 7 and 400 rows, raw and through every coercion
+// target) against the row path.
+func TestKernelsBitIdenticalToRowPath(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, typ := range allTypes {
 			for _, n := range []int{0, 1, 7, 400} {
-				db := randomDB(t, rng, typ, n)
-				values := db.MustColumn("t", "c")
-				vec := db.Vector("t", "c")
-				if vec == nil {
-					t.Fatal("Vector returned nil for known column")
-				}
-				for _, workers := range workerCounts {
-					ctx := typ.String() + "/raw/w" + strconv.Itoa(workers)
-					statsEqual(t, ctx, Values("t", "c", typ, values), FromVectorSharded("t", "c", vec, workers))
-					for _, dst := range allTypes {
-						want, wantInc := oracleCoerced("t", "c", dst, values)
-						got, gotInc := FromVectorCoercedSharded("t", "c", vec, dst, workers)
-						cctx := typ.String() + "->" + dst.String() + "/w" + strconv.Itoa(workers)
-						if wantInc != gotInc {
-							t.Errorf("%s: incompatible: want %d, got %d", cctx, wantInc, gotInc)
-						}
-						statsEqual(t, cctx, want, got)
-					}
-				}
+				checkAgainstRowPath(t, typ.String()+"/n"+strconv.Itoa(n), randomDB(t, rng, typ, n), "c", allTypes)
 			}
 		}
 	}
 }
 
-// TestKernelsBitIdenticalToRowPath runs the grid with one worker, the way
-// profile.Column runs the kernels: one shard per column, no merge.
-func TestKernelsBitIdenticalToRowPath(t *testing.T) {
-	checkGridAgainstRowPath(t, []int{1})
+// TestShardedMultiChunk profiles columns of more than 65,536 rows, the
+// size the grid cannot reach, against the row path: one of every type,
+// which keeps the sort path pinned at scale with NaN, -0 and NULLs in its
+// input, and integer columns on either side of the dense count's span
+// limit.
+func TestShardedMultiChunk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("columns of more than 65,536 rows are slow to build")
+	}
+	const n = 1<<16 + 1337
+	rng := rand.New(rand.NewSource(42))
+	for _, typ := range allTypes {
+		// One coercion per source type keeps the runtime sane while
+		// still profiling a large view of every source type.
+		dst := relational.String // text view → string kernel
+		switch typ {
+		case relational.String:
+			dst = relational.Integer // parsed dictionary → int kernel
+		case relational.Float:
+			dst = relational.Integer // float→int view → int kernel
+		}
+		checkAgainstRowPath(t, typ.String()+"/large", randomDB(t, rng, typ, n), "c", []relational.Type{dst})
+	}
+	// Integer columns on each side of the dense count's span limit, with
+	// NULLs and a value frequent enough to wrap its dense counter: their
+	// non-NULL values span exactly denseSpanPerRow values per non-NULL row
+	// (counted densely), or one value more (sorted).
+	for _, extra := range []uint64{0, 1} {
+		s := relational.NewSchema("prop")
+		s.MustAddTable(relational.MustTable("t", relational.Column{Name: "c", Type: relational.Integer}))
+		db := relational.NewDatabase(s)
+		nonNull := 0
+		for i := 0; i < n; i++ {
+			if i%7 != 3 {
+				nonNull++
+			}
+		}
+		span := denseSpanPerRow*uint64(nonNull) - 1 + extra
+		for i, k := 0, 0; i < n; i++ {
+			if i%7 == 3 {
+				db.MustInsert("t", nil)
+				continue
+			}
+			switch {
+			case k == 0:
+				db.MustInsert("t", int64(-1000))
+			case k == 1:
+				db.MustInsert("t", int64(span)-1000)
+			case k%3 == 0:
+				db.MustInsert("t", int64(42))
+			default:
+				db.MustInsert("t", int64(-1000+rng.Int63n(int64(span)+1)))
+			}
+			k++
+		}
+		ctx := "int/span8n+" + strconv.FormatUint(extra, 10)
+		checkAgainstRowPath(t, ctx, db, "c", []relational.Type{relational.String})
+	}
+}
+
+// TestShardedMultiChunkDictionary profiles all-distinct columns of more
+// than 65,536 rows against the row path: the int column is sorted raw and
+// derives its text view through intStringView; the float column is
+// sorted raw, and its text view runs the string kernel over a dictionary
+// of more than 65,536 entries.
+func TestShardedMultiChunkDictionary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dictionaries of more than 65,536 entries are slow to build")
+	}
+	const n = 1<<16 + 1000
+	s := relational.NewSchema("prop")
+	s.MustAddTable(relational.MustTable("t",
+		relational.Column{Name: "c", Type: relational.Integer},
+		relational.Column{Name: "f", Type: relational.Float}))
+	db := relational.NewDatabase(s)
+	for i := 0; i < n; i++ {
+		db.MustInsert("t", int64(i), float64(i)+0.5)
+	}
+	checkAgainstRowPath(t, "int/alldistinct", db, "c", []relational.Type{relational.String})
+	checkAgainstRowPath(t, "float/alldistinct", db, "f", []relational.Type{relational.String})
 }
 
 // TestKernelsAfterMutations profiles a column, inserts into it, and
 // profiles it again: the inserts intern new strings into a sealed
 // dictionary and extend the typed vectors and the null bitmap in place,
 // and the kernels must still agree with the row path bit for bit, for
-// every type and worker count.
+// every type.
 func TestKernelsAfterMutations(t *testing.T) {
 	for seed := int64(10); seed <= 13; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, typ := range allTypes {
 			db := randomDB(t, rng, typ, 120)
-			for _, workers := range shardWorkerCounts {
-				FromVectorSharded("t", "c", db.Vector("t", "c"), workers)
-			}
+			FromVector("t", "c", db.Vector("t", "c"))
 			for step := 0; step < 60; step++ {
 				db.MustInsert("t", randomValue(rng, typ))
 			}
 			values := db.MustColumn("t", "c")
 			vec := db.Vector("t", "c")
-			want := Values("t", "c", typ, values)
-			for _, workers := range shardWorkerCounts {
-				ctx := typ.String() + "/mutated/w" + strconv.Itoa(workers)
-				statsEqual(t, ctx, want, FromVectorSharded("t", "c", vec, workers))
-			}
+			statsEqual(t, typ.String()+"/mutated", Values("t", "c", typ, values), FromVector("t", "c", vec))
 			// The text view's dictionary, sorted, must be the row path's
 			// distinct renderings too.
 			seen := make(map[string]bool)
@@ -274,4 +346,136 @@ func TestKernelsAfterMutations(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestShardedAfterMutations profiles a column of 65,386 rows, inserts
+// 300 more, so the column grows past 65,536 rows, and requires the
+// kernels to agree with the row path bit for bit afterwards, for every
+// type.
+func TestShardedAfterMutations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("columns of more than 65,536 rows are slow to build")
+	}
+	rng := rand.New(rand.NewSource(99))
+	for _, typ := range allTypes {
+		db := randomDB(t, rng, typ, 1<<16-150)
+		FromVector("t", "c", db.Vector("t", "c"))
+		for step := 0; step < 300; step++ {
+			db.MustInsert("t", randomValue(rng, typ))
+		}
+		values := db.MustColumn("t", "c")
+		statsEqual(t, typ.String()+"/mutated", Values("t", "c", typ, values), FromVector("t", "c", db.Vector("t", "c")))
+	}
+}
+
+// TestDecimalLen compares decimalLen with the length of the rendering on
+// either side of every power of ten and of two, where its bit-length
+// estimate and its float64 shortcut change, and at both ends of int64.
+func TestDecimalLen(t *testing.T) {
+	vs := []int64{0, math.MinInt64, math.MinInt64 + 1, math.MaxInt64}
+	for p := int64(1); p <= math.MaxInt64/10; p *= 10 {
+		vs = append(vs, p-1, p, p+1, -p, 10*p-1)
+	}
+	for k := 0; k < 63; k++ {
+		p := int64(1) << k
+		vs = append(vs, p-1, p, p+1, -p, -p-1)
+	}
+	for _, v := range vs {
+		if got, want := decimalLen(v), len(strconv.FormatInt(v, 10)); got != want {
+			t.Errorf("decimalLen(%d) = %d, want %d", v, got, want)
+		}
+	}
+}
+
+// FuzzIntToStringView compares an integer column's raw profile and its
+// int→string view with the row path that renders every value. The raw
+// profile counts the column densely or by one sort, depending on its
+// span (intKernel); the view is derived from the raw profile and one
+// pass over the rows (intStringView). Besides FromVectorCoerced it runs
+// the view through the three ways a Profiler can serve it (see
+// profilerStringViews). raw decodes to zigzag varints up to the first
+// malformed one, and bit i of nullMask makes row i NULL. The seed corpus
+// is in testdata/fuzz/FuzzIntToStringView; its dense_* and sorted_*
+// seeds sit on either side of the dense count's span limit,
+// count_255_256_512 crosses the dense counters' wrap, and min_max_int64
+// spans all of int64.
+func FuzzIntToStringView(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw, nullMask []byte) {
+		var values []relational.Value
+		for len(raw) > 0 {
+			x, n := binary.Varint(raw)
+			if n <= 0 {
+				break
+			}
+			raw = raw[n:]
+			if i := len(values); i/8 < len(nullMask) && nullMask[i/8]>>(i%8)&1 == 1 {
+				values = append(values, nil)
+			} else {
+				values = append(values, x)
+			}
+		}
+		s := relational.NewSchema("fuzz")
+		s.MustAddTable(relational.MustTable("t", relational.Column{Name: "c", Type: relational.Integer}))
+		db := relational.NewDatabase(s)
+		for _, v := range values {
+			db.MustInsert("t", v)
+		}
+		statsEqual(t, "int", Values("t", "c", relational.Integer, values), FromVector("t", "c", db.Vector("t", "c")))
+		got, inc := FromVectorCoerced("t", "c", db.Vector("t", "c"), relational.String)
+		if inc != 0 {
+			t.Errorf("incompatible = %d, want 0", inc)
+		}
+		want, _ := oracleCoerced("t", "c", relational.String, values)
+		statsEqual(t, "int->string", want, got)
+		for _, v := range profilerStringViews(t, db, "t", "c") {
+			statsEqual(t, "int->string/"+v.Path, want, v.Stats)
+		}
+	})
+}
+
+// profiledView is one Profiler's int→string view, named by how the
+// Profiler came by the raw profile the view is derived from.
+type profiledView struct {
+	Path  string
+	Stats *ColumnStats
+}
+
+// profilerStringViews returns table.column viewed as strings by three
+// Profilers: one asked for the view first, so the raw profile is
+// computed inside the view's lookup; one asked for the raw profile
+// first; and one whose store holds only the raw profile's JSON, so the
+// raw profile arrives through a JSON round trip. It fails t if a lookup
+// errors, reports incompatible values, or the store path recomputes the
+// raw profile.
+func profilerStringViews(t *testing.T, db *relational.Database, table, column string) []profiledView {
+	t.Helper()
+	view := func(p *Profiler) *ColumnStats {
+		t.Helper()
+		cs, inc, err := p.ColumnCoerced(db, table, column, relational.String)
+		if err != nil {
+			t.Fatalf("ColumnCoerced: %v", err)
+		}
+		if inc != 0 {
+			t.Errorf("ColumnCoerced: incompatible = %d, want 0", inc)
+		}
+		return cs
+	}
+	viewFirst := view(NewProfiler(1))
+
+	p := NewProfiler(1)
+	if _, err := p.Column(db, table, column); err != nil {
+		t.Fatalf("Column: %v", err)
+	}
+	rawFirst := view(p)
+
+	store := newMemStore()
+	if _, err := NewProfiler(1).SetStore(store).Column(db, table, column); err != nil {
+		t.Fatalf("Column: %v", err)
+	}
+	warm := NewProfiler(1).SetStore(store)
+	fromStore := view(warm)
+	if diskHits, computes := warm.DiskCounters(); diskHits != 1 || computes != 1 {
+		t.Errorf("store path: %d disk hits, %d computes; want 1 (the raw profile) and 1 (the view)", diskHits, computes)
+	}
+	return []profiledView{{"view-first", viewFirst}, {"raw-first", rawFirst}, {"raw-from-store", fromStore}}
 }

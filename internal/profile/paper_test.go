@@ -1,7 +1,6 @@
 package profile_test
 
 import (
-	"strconv"
 	"testing"
 
 	"efes/internal/profile"
@@ -12,9 +11,9 @@ import (
 // TestIntToStringViewPaperScale profiles songs.length of the paper's
 // running example as tracks.duration sees it, a string: the view derived
 // from the raw profile equals the row path, which renders every value,
-// bit for bit at one and two workers, through FromVectorCoercedSharded
-// and through each way a Profiler can come by the raw profile, and
-// reports Table 6's 274,523 values with 260,923 distinct.
+// bit for bit, through FromVectorCoerced and through each way a Profiler
+// can come by the raw profile, and reports Table 6's 274,523 values with
+// 260,923 distinct.
 func TestIntToStringViewPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the paper-scale scenario is slow to build")
@@ -29,15 +28,13 @@ func TestIntToStringViewPaperScale(t *testing.T) {
 			t.Errorf("%s: %d values, %d distinct; want 274523, 260923 (Table 6)", ctx, values, got.Distinct)
 		}
 	}
-	for _, workers := range []int{1, 2} {
-		ctx := "songs.length->string/w" + strconv.Itoa(workers)
-		got, inc := profile.FromVectorCoercedSharded("songs", "length", vec, relational.String, workers)
-		if inc != 0 {
-			t.Errorf("%s: incompatible = %d, want 0", ctx, inc)
-		}
-		check(ctx, got)
-		for _, v := range profile.ProfilerStringViews(t, db, "songs", "length", workers) {
-			check(ctx+"/"+v.Path, v.Stats)
-		}
+	const ctx = "songs.length->string"
+	got, inc := profile.FromVectorCoerced("songs", "length", vec, relational.String)
+	if inc != 0 {
+		t.Errorf("%s: incompatible = %d, want 0", ctx, inc)
+	}
+	check(ctx, got)
+	for _, v := range profile.ProfilerStringViews(t, db, "songs", "length") {
+		check(ctx+"/"+v.Path, v.Stats)
 	}
 }

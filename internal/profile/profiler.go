@@ -29,8 +29,8 @@ type profileKey struct {
 	coerced bool
 }
 
-// Mode names the profiling engine. There is one, the exact sharded
-// kernels, so ModeExact is the only value. The type remains because
+// Mode names the profiling engine. There is one, the exact kernels, so
+// ModeExact is the only value. The type remains because
 // persist.ResultKey still takes a mode argument, and the benchmark module
 // (perfbench) calls it with ModeExact; both go together once perfbench
 // stops passing it.
@@ -156,9 +156,11 @@ func (p *Profiler) loadStored(key profileKey, dkey string) (*ColumnStats, int, b
 	return env.Stats, env.Incompatible, true
 }
 
-// NewProfiler creates a Profiler whose profiling kernels and
-// ProfileDatabase use at most workers concurrent goroutines; workers <= 0
-// selects GOMAXPROCS.
+// NewProfiler creates a Profiler whose fan-outs use at most workers
+// concurrent goroutines; workers <= 0 selects GOMAXPROCS. Each column is
+// profiled in one pass on the goroutine that asks for it, so workers
+// bounds how many columns run at once: ProfileDatabase's columns, and
+// value fit's attribute pairs, which size their fan-out by Workers.
 func NewProfiler(workers int) *Profiler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -166,7 +168,8 @@ func NewProfiler(workers int) *Profiler {
 	return &Profiler{workers: workers, entries: make(map[profileKey]*profileEntry)}
 }
 
-// Workers returns the concurrency bound of the profiler's fan-outs.
+// Workers returns the concurrency bound of the profiler's fan-outs:
+// ProfileDatabase's columns and value fit's attribute pairs.
 func (p *Profiler) Workers() int { return p.workers }
 
 // get returns the cached entry for key, computing it via compute exactly
@@ -282,7 +285,7 @@ func (p *Profiler) ColumnContext(ctx context.Context, db *relational.Database, t
 	}
 	key := profileKey{db: db, table: table, column: column, typ: col.Type}
 	cs, _, err := p.get(ctx, key, func() (*ColumnStats, int, error) {
-		return FromVectorSharded(table, column, db.Vector(table, column), p.workers), 0, nil
+		return FromVector(table, column, db.Vector(table, column)), 0, nil
 	})
 	return cs, err
 }
@@ -315,7 +318,7 @@ func (p *Profiler) ColumnCoerced(db *relational.Database, table, column string, 
 // column through its declared type changes no value, so that view is the
 // raw profile: the same memo entry and disk key as ColumnContext, with no
 // incompatible values. Any other view profiles the column
-// relational.Coerced derives (FromVectorCoercedSharded), except the view
+// relational.Coerced derives (FromVectorCoerced), except the view
 // of an integer column as strings, which is derived from the column's
 // raw profile; that profile is looked up (memo, store, or compute) like
 // ColumnContext, and an error from the lookup fails the view.
@@ -341,7 +344,7 @@ func (p *Profiler) ColumnCoercedContext(ctx context.Context, db *relational.Data
 			}
 			return intStringView(table, column, vec, raw), 0, nil
 		}
-		cs, incompatible := FromVectorCoercedSharded(table, column, vec, typ, p.workers)
+		cs, incompatible := FromVectorCoerced(table, column, vec, typ)
 		return cs, incompatible, nil
 	})
 }

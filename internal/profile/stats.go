@@ -110,14 +110,13 @@ type ColumnStats struct {
 	TopKCoverage float64
 }
 
-// Column profiles one column of a database instance on the calling
-// goroutine via the columnar kernels (bit-identical to the row path, see
-// shard.go).
+// Column profiles one column of a database instance via the columnar
+// kernels (bit-identical to the row path, see kernels.go).
 func Column(db *relational.Database, table, column string) (*ColumnStats, error) {
 	if _, err := lookupColumn(db, table, column); err != nil {
 		return nil, err
 	}
-	return FromVectorSharded(table, column, db.Vector(table, column), 1), nil
+	return FromVector(table, column, db.Vector(table, column)), nil
 }
 
 // MustColumn is Column but panics on error.
@@ -131,7 +130,7 @@ func MustColumn(db *relational.Database, table, column string) *ColumnStats {
 
 // Values profiles a raw value slice the row-at-a-time way: it renders
 // every value and counts the renderings. It is the test oracle of the
-// columnar kernels, which must match it bit for bit (shard.go); no
+// columnar kernels, which must match it bit for bit (kernels.go); no
 // production path calls it.
 func Values(table, column string, typ relational.Type, values []relational.Value) *ColumnStats {
 	cs := &ColumnStats{Table: table, Column: column, Type: typ, Rows: len(values)}

@@ -306,16 +306,18 @@ func FuzzReadCSV(f *testing.F) {
 	})
 }
 
-// TestReadCSVChunkStamps loads past two profiling chunk boundaries,
-// with NULLs and a new dictionary entry at each.
+// TestReadCSVChunkStamps loads a table of more than 131,072 rows, with
+// NULLs and a new dictionary entry on either side of every multiple of
+// 65,536.
 func TestReadCSVChunkStamps(t *testing.T) {
+	const span = 1 << 16
 	s := NewSchema("chunks")
 	s.MustAddTable(MustTable("t", Column{Name: "n", Type: Integer}, Column{Name: "s", Type: String}))
 	var b strings.Builder
 	b.WriteString("n,s\n")
-	for i := 0; i < 2*ChunkSize+3; i++ {
-		switch i % ChunkSize {
-		case 0, ChunkSize - 1:
+	for i := 0; i < 2*span+3; i++ {
+		switch i % span {
+		case 0, span - 1:
 			fmt.Fprintf(&b, ",boundary %d\n", i)
 		default:
 			fmt.Fprintf(&b, "%d,v%d\n", i, i%5)

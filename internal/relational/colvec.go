@@ -19,12 +19,6 @@ import (
 // holds no lock: concurrent readers are safe, but an append must not
 // race with reads.
 
-// ChunkSize is the number of rows (or, for string columns, dictionary
-// entries) per profiling chunk: the unit of work the sharded profiling
-// kernels of internal/profile fan out over. A power of two keeps the
-// row→chunk mapping a shift.
-const ChunkSize = 1 << 16
-
 // Bitmap is a fixed-purpose bitset over row indexes.
 type Bitmap struct {
 	words []uint64 //efes:bounded sized to the owning table's row count
